@@ -251,8 +251,7 @@ def _plan(cell: ReferenceCell, config: RunConfig) -> tuple[str, str]:
     if cell.level == -1:
         return "unoptimized", "iterated map bisection, seconds"
     if cell.level <= 2:
-        note = "minutes" if (cell.code, cell.level) == ("steane", 2) else "seconds"
-        return "exact", f"exact enumeration, {note}"
+        return "exact", "exact enumeration, seconds"
     return "auto", (f"~{config.samples} samples x {cell.level} levels; "
                     "exact when within budget")
 
@@ -323,7 +322,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="root bracket width tolerance")
         p.add_argument("--format", choices=("csv", "json"))
         p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, help="engine worker cap")
+        p.add_argument("--threads", type=int, help=(
+            "Monte Carlo worker threads; exact computations run in one thread"))
 
     p_entropy = sub.add_parser("entropy", help="mean conditional entropy")
     add_common(p_entropy)

@@ -29,6 +29,7 @@ __all__ = [
     "builtin_codes",
     "get_code",
     "CLASS_LETTERS",
+    "qubit_automorphisms",
 ]
 
 #: Logical class order used for indices everywhere: 0=I, 1=X, 2=Y, 3=Z.
@@ -159,6 +160,85 @@ class StabilizerCode:
         anti_z = eta(f, self.logical_z) == -1
         anti_x = eta(f, self.logical_x) == -1
         return ((0, 3), (1, 2))[anti_z][anti_x]
+
+
+def _permute_mask(mask: int, perm) -> int:
+    """Move bit j of mask to bit perm[j]."""
+    return sum(((mask >> j) & 1) << q for j, q in enumerate(perm))
+
+
+def _permute(e: PauliString, perm) -> PauliString:
+    """Pauli with the letter of qubit j moved to qubit perm[j]; phase kept."""
+    return PauliString(e.n, _permute_mask(e.x, perm), _permute_mask(e.z, perm), e.phase)
+
+
+def _preserves_level_map(code: StabilizerCode, perm, signed: set, unsigned: set) -> bool:
+    """The three conditions of :func:`qubit_automorphisms` for one permutation.
+
+    A qubit permutation respects products, so the generators' images decide
+    where the whole signed stabilizer group goes.
+    """
+    if any(_permute(g, perm) not in signed for g in code.generators):
+        return False
+    for logical in (code.logical_x, code.logical_z):
+        image = _permute(logical, perm)
+        if (image.x ^ logical.x, image.z ^ logical.z) not in unsigned:
+            return False
+    for r in code.representatives:
+        image = _permute(r, perm)
+        target = code.representatives[code.syndrome_of(image)]
+        if (image.x ^ target.x, image.z ^ target.z) not in unsigned:
+            return False
+    return True
+
+
+@functools.lru_cache(maxsize=None)
+def qubit_automorphisms(code: StabilizerCode) -> np.ndarray:
+    """Qubit permutations that leave the code's level map unchanged.
+
+    Row g maps qubit j to qubit g[j].  A permutation qualifies when it maps
+    the signed stabilizer group onto itself, each of logical X and logical Z
+    into its own coset, and every recovery representative into the coset of
+    the representative of its new syndrome.  Moving the noise of each qubit
+    j to qubit g[j] then only relabels the syndromes of the level map, each
+    keeping its weight and conditional channel.
+
+    Partial permutations are extended one qubit at a time; one is dropped as
+    soon as the stabilizer group restricted to its assigned qubits differs
+    from the group restricted to their images, a condition every
+    automorphism meets on every subset.  The rows are sorted, so the
+    identity comes first.
+    """
+    n = code.n
+    stab = code.stabilizer_elements()
+    signed = set(stab)
+    unsigned = {(s.x, s.z) for s in stab}
+    xs = np.array([s.x for s in stab], dtype=np.int64)
+    zs = np.array([s.z for s in stab], dtype=np.int64)
+    # letters[j, a]: the (x, z) bits of stabilizer element a at qubit j.
+    letters = np.stack([((xs >> j) & 1) | (((zs >> j) & 1) << 1) for j in range(n)])
+
+    found: list[tuple[int, ...]] = []
+
+    def extend(perm: tuple[int, ...], key_dom: np.ndarray, key_img: np.ndarray):
+        k = len(perm)
+        if k == n:
+            if _preserves_level_map(code, perm, signed, unsigned):
+                found.append(perm)
+            return
+        for q in range(n):
+            if q in perm:
+                continue
+            dom = key_dom | (letters[k] << (2 * k))
+            img = key_img | (letters[q] << (2 * k))
+            if np.array_equal(np.unique(dom), np.unique(img)):
+                extend(perm + (q,), dom, img)
+
+    zero = np.zeros(len(stab), dtype=np.int64)
+    extend((), zero, zero)
+    group = np.array(sorted(found), dtype=np.int64).reshape(-1, n)
+    group.setflags(write=False)
+    return group
 
 
 def encoding_column(code: StabilizerCode, sigma: int | str) -> list[PauliString]:

@@ -6,9 +6,12 @@ history.  One concatenation level assigns an independently drawn entry to each
 of the n qubit slots of the code block, pushes every assignment through the
 per-syndrome level map, and flattens the results into the next ensemble.
 
-Assignments are enumerated in slot order: which qubit receives which entry
-matters, because a stabilizer code treats its qubits asymmetrically (only
-permutations in the code's automorphism group leave the level map alone).
+Which qubit receives which entry matters in general, because a stabilizer
+code treats its qubits asymmetrically.  The permutations in the code's qubit
+automorphism group (:func:`~concatqec.codes.qubit_automorphisms`) only
+relabel the syndromes of the level map, so when all slots share one child
+ensemble a level enumerates one assignment per orbit of that group, weighted
+by the orbit's size; otherwise it enumerates every ordered assignment.
 Deduplicating the entries of each child ensemble first is what keeps exact
 level-2 enumeration tractable.  Each entry is canonicalized by applying its
 optimal logical recovery (the class of maximal probability moved to the
@@ -18,13 +21,14 @@ improves.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channels import HAD4, KLEIN, LETTERS, ChannelError, PauliProbVec, apply_logical_pauli
-from .codes import StabilizerCode
+from .codes import StabilizerCode, qubit_automorphisms
 from .levelmap import _coset_map_batch
 
 __all__ = [
@@ -47,8 +51,14 @@ DEFAULT_BUDGET = 10 ** 7
 #: Assignments are pushed through the level map in batches of this many.
 _CHUNK = 4096
 
+#: Assignment numbers are scanned for orbit representatives this many at a time.
+_ORBIT_CHUNK = 1 << 16
+
 #: Recovery tie-break order: I first, then X, Z, Y.
 _TIE_ORDER = np.array([0, 1, 3, 2], dtype=np.int64)
+
+#: Recovery classes this close to the row maximum, relatively, count as tied.
+_TIE_RTOL = 1e-12
 
 
 class BudgetExceeded(RuntimeError):
@@ -103,23 +113,32 @@ class ChannelEnsemble:
         return PauliProbVec.from_array(self.weights @ self.channels)
 
 
+def _recovery_class(rows: np.ndarray) -> np.ndarray:
+    """Class of maximal probability per row, the last axis holding I, X, Y, Z.
+
+    Classes within a relative _TIE_RTOL of the row maximum count as tied, so
+    a round-off difference cannot make Klein relabelings of one channel pick
+    different classes; ties go in the order I, X, Z, Y.
+    """
+    tied = rows >= rows.max(axis=-1, keepdims=True) * (1.0 - _TIE_RTOL)
+    return _TIE_ORDER[np.argmax(tied[..., _TIE_ORDER], axis=-1)]
+
+
 def optimize_recovery(q: PauliProbVec) -> tuple[str, PauliProbVec]:
     """Best extra logical recovery for a channel and the channel after it.
 
-    Picks the class of maximal probability (ties broken in the order
+    Picks the class of maximal probability (near-ties broken in the order
     I, X, Z, Y) and relabels errors so that class becomes the identity.
     """
     if q.weight() <= 0.0:
         raise ChannelError("cannot optimize a zero-weight quasi-channel")
-    arr = q.as_array()
-    best = max(_TIE_ORDER, key=lambda s: arr[s])
-    letter = LETTERS[best]
+    letter = LETTERS[_recovery_class(q.as_array())]
     return letter, apply_logical_pauli(q, letter)
 
 
 def _optimize_rows(rows: np.ndarray) -> np.ndarray:
     """Vectorized optimize_recovery over normalized channel rows."""
-    sigma = _TIE_ORDER[np.argmax(rows[:, _TIE_ORDER], axis=1)]
+    sigma = _recovery_class(rows)
     return rows[np.arange(rows.shape[0])[:, None], KLEIN[sigma]]
 
 
@@ -199,7 +218,11 @@ class _Accumulator:
 
 
 def count_combinations(children: list[ChannelEnsemble]) -> int:
-    """Number of coset-map evaluations exact_level would perform."""
+    """Number of ordered assignments of child entries to the n slots.
+
+    The budget counts these even where a level enumerates by orbits, so the
+    exact/Monte Carlo choice does not depend on the code's automorphisms.
+    """
     return math.prod(ens.size for ens in children)
 
 
@@ -213,7 +236,7 @@ def _as_children(code: StabilizerCode, child_ensembles) -> list[ChannelEnsemble]
     return children
 
 
-def _assignment_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
+def _ordered_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
     """Yield (assignment weights, per-slot diagonals) over ordered assignments.
 
     Assignment t picks entry (t // stride[i]) % size[i] for slot i, so a flat
@@ -237,6 +260,61 @@ def _assignment_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
         yield assign_w, diags
 
 
+@functools.lru_cache(maxsize=16)
+def _orbit_table(code: StabilizerCode, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One assignment per orbit of the code's qubit automorphisms, and orbit sizes.
+
+    Assignments of ``size`` entries to the n slots are numbered in mixed
+    radix with slot 0 most significant, as in :func:`_ordered_chunks`; the
+    representative of an orbit is its lowest number.  Returns the
+    representatives' per-slot entries, shape (orbits, n), and the number of
+    ordered assignments in each orbit, both as small read-only integers.
+    """
+    group = qubit_automorphisms(code)
+    n = code.n
+    strides = size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    # Moving the entry of each slot j to slot g[j] numbers the image
+    # a @ strides[g]; row 0 of the group is the identity.
+    image_strides = strides[group]
+    total = size ** n
+    reps, mults = [], []
+    for start in range(0, total, _ORBIT_CHUNK):
+        t = np.arange(start, min(start + _ORBIT_CHUNK, total), dtype=np.int64)
+        a = (t[:, None] // strides) % size
+        for g_strides in image_strides[1:]:
+            lowest = a @ g_strides >= t
+            t, a = t[lowest], a[lowest]
+        images = np.sort(a @ image_strides.T, axis=1)
+        reps.append(a)
+        mults.append(1 + np.count_nonzero(np.diff(images, axis=1), axis=1))
+    entries = np.concatenate(reps).astype(np.min_scalar_type(size - 1))
+    mult = np.concatenate(mults).astype(np.min_scalar_type(len(group)))
+    entries.setflags(write=False)
+    mult.setflags(write=False)
+    return entries, mult
+
+
+def _assignment_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
+    """Yield (assignment weights, per-slot diagonals) covering every assignment.
+
+    When all n slots share one child ensemble and the code has nontrivial
+    qubit automorphisms, each chunk holds orbit representatives, weighted by
+    their orbit sizes: an automorphism only relabels the syndromes of the
+    level map, so every assignment of an orbit contributes the same
+    (syndrome weight, conditional channel) multiset.  Otherwise every ordered
+    assignment is yielded once.
+    """
+    child = children[0]
+    if any(c is not child for c in children) or len(qubit_automorphisms(code)) == 1:
+        yield from _ordered_chunks(code, children)
+        return
+    entries, mult = _orbit_table(code, child.size)
+    diag = child.channels @ HAD4.T
+    for start in range(0, mult.size, _CHUNK):
+        idx = entries[start:start + _CHUNK]
+        yield mult[start:start + _CHUNK] * child.weights[idx].prod(axis=1), diag[idx]
+
+
 def exact_level(
     code: StabilizerCode,
     child_ensembles,
@@ -248,10 +326,10 @@ def exact_level(
     """One exact concatenation level on n child ensembles.
 
     Accepts a single ensemble (shared by all n slots) or a sequence of n.
-    Enumerates every ordered assignment of one entry per slot; slot order
-    matters because qubit permutations are generally not code automorphisms.
-    Raises :class:`BudgetExceeded` if the enumeration would need more than
-    ``budget`` level-map evaluations.
+    Covers every ordered assignment of one entry per slot, by orbits of the
+    code's qubit automorphisms where the slots share one ensemble.
+    Raises :class:`BudgetExceeded` if there are more than ``budget`` ordered
+    assignments, however many orbits they fall into.
     """
     children = _as_children(code, child_ensembles)
     combinations = count_combinations(children)

@@ -9,10 +9,11 @@ ensemble entropy, which is infeasible to enumerate for deep levels.
 
 Bottom blocks all see the same base noise, so their level map is computed
 once and sampled categorically.  Higher nodes memoize level maps keyed by the
-ordered tuple of child channel identities; the order matters because qubit
-permutations are generally not code automorphisms.  Samples are split across
-independent streams seeded by (seed, stream); results are deterministic for a
-fixed stream count regardless of thread count.
+ordered tuple of child channel identities; keys are not canonicalized under
+the code's qubit automorphisms (which would only relabel syndromes), so
+permuted tuples of one orbit are computed separately.  Samples are split
+across independent streams seeded by (seed, stream); results are
+deterministic for a fixed stream count regardless of thread count.
 """
 
 from __future__ import annotations

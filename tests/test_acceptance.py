@@ -122,7 +122,8 @@ def test_criterion_2_level1_adaptive_critical_values():
 
 def test_criterion_3_level2_adaptive_critical_values():
     # The steane depolarizing cell enumerates the largest deduplicated
-    # level-2 ensemble and dominates the suite runtime (about two minutes).
+    # level-2 ensemble; by orbits of the code's 168 qubit automorphisms the
+    # whole test takes under a second.
     for (name, family), want in LEVEL2_VALUES.items():
         cp = entropy_critical_p(get_code(name), family, 2, tol=1e-9)
         assert rel(cp.p_star, want) < 1e-6, (name, family, cp.p_star)

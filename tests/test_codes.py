@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,10 +13,12 @@ from concatqec import (
     encoding_column,
     enumerate_group,
     eta,
+    PauliProbVec,
+    coset_map_probs,
     get_code,
     multiply,
 )
-from concatqec.codes import load_code_text
+from concatqec.codes import load_code_text, qubit_automorphisms
 
 
 def all_paulis(n):
@@ -183,3 +186,55 @@ def test_generator_commutation(codes):
                 assert eta(a, b) == 1
         assert eta(code.logical_x, code.logical_z) == -1
         assert len(enumerate_group(list(gens))) == 2 ** (code.n - 1)
+
+
+# ------------------------------------------------------------ automorphisms
+
+def permuted(e, perm):
+    """e with the letter of qubit j moved to qubit perm[j], sign kept."""
+    letters = ["I"] * e.n
+    for j, letter in enumerate(e.letters()):
+        letters[perm[j]] = letter
+    text = str(e)
+    return PauliString.from_text(text[:len(text) - e.n] + "".join(letters))
+
+
+def brute_force_automorphisms(code):
+    """Scan all n! permutations through the public syndrome/class API."""
+    stab = set(code.stabilizer_elements())
+    found = []
+    for perm in itertools.permutations(range(code.n)):
+        if (all(permuted(g, perm) in stab for g in code.generators)
+                and code.logical_class(permuted(code.logical_x, perm)) == 1
+                and code.logical_class(permuted(code.logical_z, perm)) == 3
+                and all(code.logical_class(permuted(r, perm)) == 0
+                        for r in code.representatives)):
+            found.append(perm)
+    return found
+
+
+@pytest.mark.parametrize("name,order", [
+    ("bitflip2", 1), ("rep3", 6), ("five-qubit", 10), ("steane", 168)])
+def test_qubit_automorphisms_match_brute_force(codes, name, order):
+    code = codes[name]
+    group = qubit_automorphisms(code)
+    assert group.shape == (order, code.n)
+    assert [tuple(g) for g in group.tolist()] == brute_force_automorphisms(code)
+
+
+@pytest.mark.parametrize("name", ["bitflip2", "rep3", "five-qubit", "steane"])
+def test_automorphisms_only_relabel_syndromes(codes, name):
+    # Moving qubit j's noise to qubit g[j] sends syndrome beta to the
+    # syndrome of the moved representative, with the same class row.
+    code = codes[name]
+    rng = np.random.default_rng(11)
+    noise = [PauliProbVec.from_array(rng.dirichlet(np.ones(4))) for _ in range(code.n)]
+    probs = coset_map_probs(code, noise)
+    for perm in qubit_automorphisms(code).tolist():
+        moved = [None] * code.n
+        for j, q in enumerate(perm):
+            moved[q] = noise[j]
+        got = coset_map_probs(code, moved)
+        for beta, rep in enumerate(code.representatives):
+            image = code.syndrome_of(permuted(rep, perm))
+            assert np.allclose(got[image], probs[beta], rtol=0.0, atol=1e-14)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -8,15 +10,22 @@ from concatqec import (
     ChannelEnsemble,
     ChannelError,
     PauliProbVec,
+    PauliString,
+    StabilizerCode,
     apply_logical_pauli,
     concatenate_exact,
     coset_map_probs,
     ensemble_entropy,
     exact_level,
     exact_level_entropy,
+    noise_family,
     optimize_recovery,
 )
-from concatqec.ensemble import count_combinations
+from concatqec import ensemble as ensemble_module
+from concatqec.codes import qubit_automorphisms
+from concatqec.ensemble import _optimize_rows, count_combinations
+
+CODE_NAMES = ["bitflip2", "rep3", "five-qubit", "steane"]
 
 
 @st.composite
@@ -65,6 +74,23 @@ def test_optimize_recovery_tie_prefers_z_over_y():
     q = PauliProbVec.from_array(np.array([0.1, 0.1, 0.4, 0.4]))
     letter, _ = optimize_recovery(q)
     assert letter == "Z"
+
+
+def test_optimize_recovery_near_tie_prefers_identity():
+    # a round-off deficit on I does not hand the recovery to X
+    q = PauliProbVec.from_array(np.array([0.3 - 1e-15, 0.3, 0.1, 0.3]))
+    letter, _ = optimize_recovery(q)
+    assert letter == "I"
+
+
+def test_optimize_rows_near_tie_ignores_round_off():
+    # copies of one channel whose three tied classes differ only by
+    # round-off, each with the largest value on another class, optimize to
+    # one row rather than to three Klein relabelings
+    m, e, d = 0.2993755795164533, 0.10187326145064113, 5e-17
+    rows = np.array([[m + d, m, e, m], [m, m + d, e, m], [m, m, e, m + d]])
+    out = _optimize_rows(rows)
+    assert np.allclose(out, [m, m, e, m], rtol=0.0, atol=1e-15)
 
 
 def test_optimize_recovery_zero_weight_rejected():
@@ -245,3 +271,110 @@ def test_two_level_bitflip_average_channel(codes):
     y = (3 * x - x ** 3) / 2
     want = np.array([(1 + y) / 2, (1 - y) / 2, 0.0, 0.0])
     assert np.allclose(avg, want, atol=1e-12)
+
+
+@pytest.mark.parametrize("p", [0.062, 0.063])
+def test_steane_depolarizing_level1_near_ties_collapse(codes, p):
+    # here three syndromes carry one channel whose three largest classes
+    # tie up to round-off; all three must optimize to one entry
+    code = codes["steane"]
+    noise = noise_family("depolarizing", p)
+    ens = concatenate_exact(code, noise, 1)
+    assert ens.size == 5
+    streamed = exact_level_entropy(code, ChannelEnsemble.singleton(noise))
+    assert ensemble_entropy(ens) == pytest.approx(streamed, abs=1e-12)
+
+
+# ------------------------------------------------------- orbit enumeration
+
+def random_ensemble(rng, size):
+    return ChannelEnsemble(rng.dirichlet(np.ones(size)),
+                           rng.dirichlet(np.ones(4), size=size))
+
+
+def ordered(fn, *args):
+    """fn run on the full ordered enumeration, the orbit path's oracle."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ensemble_module, "_assignment_chunks",
+                   ensemble_module._ordered_chunks)
+        return fn(*args)
+
+
+@pytest.mark.parametrize("name,size", [("rep3", 3), ("five-qubit", 3), ("steane", 2)])
+def test_orbit_table_matches_python_orbit_scan(codes, name, size):
+    code = codes[name]
+    group = qubit_automorphisms(code).tolist()
+    want = {}
+    for a in itertools.product(range(size), repeat=code.n):
+        rep = min(tuple(a[g[k]] for k in range(code.n)) for g in group)
+        want[rep] = want.get(rep, 0) + 1
+    entries, mult = ensemble_module._orbit_table(code, size)
+    got = {tuple(e): m for e, m in zip(entries.tolist(), mult.tolist())}
+    assert got == want
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_orbit_entropy_matches_ordered_enumeration(codes, name):
+    code = codes[name]
+    rng = np.random.default_rng(5)
+    for size in range(1, 6):
+        child = random_ensemble(rng, size)
+        want = ordered(exact_level_entropy, code, child)
+        assert exact_level_entropy(code, child) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_orbit_exact_level_matches_ordered_enumeration(codes, name):
+    code = codes[name]
+    rng = np.random.default_rng(6)
+    for size in range(1, 4):
+        child = random_ensemble(rng, size)
+        got = exact_level(code, child)
+        want = ordered(exact_level, code, child)
+        assert got.size == want.size
+        assert ensemble_entropy(got) == pytest.approx(ensemble_entropy(want), abs=1e-12)
+        assert np.allclose(got.average_channel().as_array(),
+                           want.average_channel().as_array(), rtol=0.0, atol=1e-12)
+
+
+def relabeled(code, perm):
+    """The code with qubit j renamed perm[j]."""
+    def move(e):
+        letters = ["I"] * e.n
+        for j, letter in enumerate(e.letters()):
+            letters[perm[j]] = letter
+        return PauliString.from_text("".join(letters))
+    return StabilizerCode(code.name + "-relabeled", code.n, code.distance,
+                          tuple(move(g) for g in code.generators),
+                          move(code.logical_x), move(code.logical_z))
+
+
+@pytest.mark.parametrize("name", CODE_NAMES)
+def test_relabeled_code_gives_same_entropies(codes, name):
+    code = codes[name]
+    perm = np.random.default_rng(9).permutation(code.n).tolist()
+    other = relabeled(code, perm)
+    assert len(qubit_automorphisms(other)) == len(qubit_automorphisms(code))
+    for family, p in (("depolarizing", 0.063), ("indep-flips", 0.11)):
+        noise = noise_family(family, p)
+        for level in (1, 2):
+            want = exact_level_entropy(code, concatenate_exact(code, noise, level - 1))
+            got = exact_level_entropy(other, concatenate_exact(other, noise, level - 1))
+            assert got == pytest.approx(want, abs=1e-12), (family, level)
+
+
+def test_distinct_children_take_ordered_path(codes):
+    code = codes["five-qubit"]
+    rng = np.random.default_rng(4)
+    children = [random_ensemble(rng, 2) for _ in range(code.n)]
+    got = list(ensemble_module._assignment_chunks(code, children))
+    want = list(ensemble_module._ordered_chunks(code, children))
+    assert len(got) == len(want)
+    for (w_got, d_got), (w_want, d_want) in zip(got, want):
+        assert np.array_equal(w_got, w_want) and np.array_equal(d_got, d_want)
+    assert sum(w.size for w, _ in got) == 2 ** code.n
+
+    shared = list(ensemble_module._assignment_chunks(code, [children[0]] * code.n))
+    orbits = len(ensemble_module._orbit_table(code, 2)[1])
+    assert sum(w.size for w, _ in shared) == orbits < 2 ** code.n
+    assert sum(w.sum() for w, _ in shared) == pytest.approx(1.0, abs=1e-12)

@@ -9,7 +9,6 @@ crosses a target value.
 
 from .channels import (
     ChannelError,
-    DiagonalQuasiChannel,
     OneQubitSuperop,
     PauliProbVec,
     apply_logical_pauli,
@@ -40,7 +39,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PauliError", "PauliString", "eta", "multiply", "enumerate_group",
-    "ChannelError", "PauliProbVec", "DiagonalQuasiChannel", "OneQubitSuperop",
+    "ChannelError", "PauliProbVec", "OneQubitSuperop",
     "diag_to_probs", "probs_to_diag", "entropy", "quasi_entropy_contribution",
     "apply_logical_pauli", "noise_family", "superop_of_kraus",
     "CodeError", "StabilizerCode", "builtin_codes", "get_code", "load_code",

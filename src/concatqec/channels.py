@@ -27,12 +27,11 @@ __all__ = [
     "KLEIN",
     "HAD4",
     "PauliProbVec",
-    "DiagonalQuasiChannel",
     "OneQubitSuperop",
-    "PauliBasisState",
     "diag_to_probs",
     "probs_to_diag",
     "entropy",
+    "row_entropy",
     "quasi_entropy_contribution",
     "apply_logical_pauli",
     "noise_family",
@@ -40,9 +39,9 @@ __all__ = [
     "superop_of_kraus",
 ]
 
-#: Numerical tolerance for clamping tiny negative probabilities and for
-#: channel deduplication.  Enumerations are sums/products of machine floats
-#: with no deep cancellation, so 1e-12 leaves a wide safety margin.
+#: Numerical tolerance for clamping tiny negative probabilities.
+#: Enumerations are sums/products of machine floats with no deep
+#: cancellation, so 1e-12 leaves a wide safety margin.
 CLAMP_TOL = 1e-12
 
 LETTERS = "IXYZ"
@@ -63,13 +62,14 @@ HAD4 = np.array(
      [1, -1, 1, -1],
      [1, -1, -1, 1]], dtype=np.float64)
 
-# single-qubit matrices, used only for Kraus-form construction
-_SIGMA = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
+#: Single-qubit Pauli matrices in the order I, X, Y, Z, used only for
+#: Kraus-form construction and dense Pauli strings.
+_SIGMA = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
 
 
 class ChannelError(ValueError):
@@ -114,43 +114,28 @@ class PauliProbVec:
         return PauliProbVec(self.p_i / w, self.p_x / w, self.p_y / w, self.p_z / w)
 
 
-@dataclass(frozen=True)
-class DiagonalQuasiChannel:
-    """Superoperator diagonal [p, x, y, z] of a Pauli (quasi-)channel."""
-
-    d: tuple[float, float, float, float]
-
-    def __post_init__(self):
-        object.__setattr__(self, "d", tuple(float(v) for v in self.d))
-        if len(self.d) != 4:
-            raise ChannelError("diagonal must have exactly 4 entries")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.d)
-
-
-def diag_to_probs(d: DiagonalQuasiChannel) -> PauliProbVec:
-    """Pauli probabilities of a diagonal quasi-channel.
+def diag_to_probs(d) -> PauliProbVec:
+    """Pauli probabilities of a superoperator diagonal [p, x, y, z].
 
     Raises if any resulting component is negative beyond tolerance, which
     signals a diagonal that is not a Pauli (quasi-)channel.
     """
-    p = HAD4 @ d.as_array() / 4.0
-    return PauliProbVec.from_array(_clamped(p))
+    d = np.asarray(d, dtype=np.float64)
+    if d.shape != (4,):
+        raise ChannelError("diagonal must have exactly 4 entries")
+    return PauliProbVec.from_array(_clamped(HAD4 @ d / 4.0))
 
 
-def probs_to_diag(p: PauliProbVec) -> DiagonalQuasiChannel:
-    """Exact inverse of :func:`diag_to_probs`."""
-    return DiagonalQuasiChannel(tuple(HAD4 @ p.as_array()))
+def probs_to_diag(p: PauliProbVec) -> np.ndarray:
+    """Superoperator diagonal [p, x, y, z]; exact inverse of :func:`diag_to_probs`."""
+    return HAD4 @ p.as_array()
 
 
-def _h(q: np.ndarray) -> np.ndarray:
-    """Elementwise -q*log2(q) with h(0) = 0."""
+def row_entropy(q) -> np.ndarray:
+    """Sum of -q*log2(q) over the last axis of any batch of rows; 0*log2(0) = 0."""
     q = np.asarray(q, dtype=np.float64)
-    out = np.zeros_like(q)
-    pos = q > 0.0
-    out[pos] = -q[pos] * np.log2(q[pos])
-    return out
+    # 0.0 - s, not -s: a pure row gives +0.0 rather than -0.0.
+    return 0.0 - (q * np.log2(np.where(q > 0.0, q, 1.0))).sum(axis=-1)
 
 
 def entropy(p: PauliProbVec) -> float:
@@ -158,7 +143,7 @@ def entropy(p: PauliProbVec) -> float:
     w = p.weight()
     if w <= 0.0:
         raise ChannelError("entropy undefined for zero-weight quasi-channel")
-    return float(_h(p.as_array() / w).sum())
+    return float(row_entropy(p.as_array() / w))
 
 
 def quasi_entropy_contribution(p: PauliProbVec) -> float:
@@ -169,7 +154,7 @@ def quasi_entropy_contribution(p: PauliProbVec) -> float:
     w = p.weight()
     if w <= 0.0:
         raise ChannelError("entropy undefined for zero-weight quasi-channel")
-    return float(_h(p.as_array()).sum() - _h(np.array([w])).sum())
+    return float(row_entropy(p.as_array()) - row_entropy([w]))
 
 
 def apply_logical_pauli(p: PauliProbVec, s: str) -> PauliProbVec:
@@ -241,9 +226,6 @@ class OneQubitSuperop:
     def is_trace_preserving(self, tol: float = 1e-9) -> bool:
         return bool(np.allclose(self.m[0], [1.0, 0.0, 0.0, 0.0], atol=tol))
 
-    def diagonal(self) -> DiagonalQuasiChannel:
-        return DiagonalQuasiChannel(tuple(np.diag(self.m)))
-
     @classmethod
     def identity(cls) -> "OneQubitSuperop":
         return cls(np.eye(4))
@@ -251,47 +233,6 @@ class OneQubitSuperop:
     @classmethod
     def from_probs(cls, p: PauliProbVec) -> "OneQubitSuperop":
         return cls(np.diag(HAD4 @ p.as_array()))
-
-
-@dataclass(frozen=True)
-class PauliBasisState:
-    """Pauli-expansion coefficients c of a density operator, c[0] = trace."""
-
-    n: int
-    c: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.c, dtype=np.float64)
-        if c.shape != (4 ** self.n,):
-            raise ChannelError(f"coefficient vector must have length 4^{self.n}")
-        object.__setattr__(self, "c", c)
-
-    @classmethod
-    def from_density(cls, rho: np.ndarray) -> "PauliBasisState":
-        rho = np.asarray(rho, dtype=complex)
-        n = int(np.log2(rho.shape[0]))
-        if rho.shape != (2 ** n, 2 ** n):
-            raise ChannelError("density matrix must be 2^n x 2^n")
-        c = np.empty(4 ** n)
-        for idx in range(4 ** n):
-            c[idx] = np.real(np.trace(_pauli_matrix(n, idx) @ rho))
-        return cls(n, c)
-
-    def to_density(self) -> np.ndarray:
-        dim = 2 ** self.n
-        rho = np.zeros((dim, dim), dtype=complex)
-        for idx in range(4 ** self.n):
-            rho += self.c[idx] * _pauli_matrix(self.n, idx)
-        return rho / dim
-
-
-def _pauli_matrix(n: int, idx: int) -> np.ndarray:
-    """Tensor-product Pauli matrix for a base-4 letter index (qubit 0 = MSD)."""
-    m = np.array([[1.0 + 0j]])
-    for j in range(n):
-        letter = (idx // 4 ** (n - 1 - j)) % 4
-        m = np.kron(m, _SIGMA[LETTERS[letter]])
-    return m
 
 
 def superop_of_kraus(kraus: list[np.ndarray], *, tol: float = 1e-9) -> OneQubitSuperop:
@@ -310,10 +251,9 @@ def superop_of_kraus(kraus: list[np.ndarray], *, tol: float = 1e-9) -> OneQubitS
         warnings.warn("Kraus set is not trace preserving; returning a quasi-channel",
                       stacklevel=2)
     m = np.zeros((4, 4), dtype=complex)
-    basis = [_SIGMA[c] for c in LETTERS]
-    for col, tau in enumerate(basis):
+    for col, tau in enumerate(_SIGMA):
         out = sum(a @ tau @ a.conj().T for a in ops)
-        for row, sigma in enumerate(basis):
+        for row, sigma in enumerate(_SIGMA):
             m[row, col] = 0.5 * np.trace(sigma @ out)
     if np.abs(m.imag).max() > tol:
         raise ChannelError("Kraus set does not preserve Hermiticity")

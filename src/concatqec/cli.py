@@ -181,6 +181,7 @@ def _render(command: str, config: RunConfig, rows: list[dict]) -> str:
 
 def _emit(text: str, config: RunConfig) -> None:
     if config.out:
+        os.makedirs(os.path.dirname(config.out) or ".", exist_ok=True)
         with open(config.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:

@@ -22,12 +22,14 @@ improves.
 from __future__ import annotations
 
 import functools
+import logging
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HAD4, KLEIN, LETTERS, ChannelError, PauliProbVec, apply_logical_pauli
+from .channels import (
+    HAD4, KLEIN, LETTERS, ChannelError, PauliProbVec, apply_logical_pauli, row_entropy)
 from .codes import StabilizerCode, qubit_automorphisms
 from .levelmap import _coset_map_batch
 
@@ -43,6 +45,8 @@ __all__ = [
     "concatenate_exact",
     "ensemble_entropy",
 ]
+
+_log = logging.getLogger("concatqec")
 
 DEDUP_TOL = 1e-10
 PRUNE_FLOOR = 1e-15
@@ -78,7 +82,6 @@ class ChannelEnsemble:
 
     weights: np.ndarray
     channels: np.ndarray
-    dedup_tolerance: float = DEDUP_TOL
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -103,10 +106,6 @@ class ChannelEnsemble:
     @property
     def size(self) -> int:
         return self.weights.size
-
-    def entries(self) -> list[tuple[float, PauliProbVec]]:
-        return [(float(w), PauliProbVec.from_array(c))
-                for w, c in zip(self.weights, self.channels)]
 
     def average_channel(self) -> PauliProbVec:
         """Weighted mean channel; what a syndrome-blind observer would see."""
@@ -211,6 +210,10 @@ class _Accumulator:
         # Second pass with the true tolerance catches grid-boundary splits.
         if w.size <= self._MERGE_CAP:
             w, c = _merge_close(w, c, self.tol)
+        else:
+            _log.warning("%d entries survive dedup, over the merge cap of %d; entries "
+                         "within %g across a grid boundary stay unmerged",
+                         w.size, self._MERGE_CAP, self.tol)
         # Pruned mass is redistributed by renormalizing the kept weights.
         w /= w.sum()
         c /= c.sum(axis=1, keepdims=True)
@@ -224,16 +227,6 @@ def count_combinations(children: list[ChannelEnsemble]) -> int:
     exact/Monte Carlo choice does not depend on the code's automorphisms.
     """
     return math.prod(ens.size for ens in children)
-
-
-def _as_children(code: StabilizerCode, child_ensembles) -> list[ChannelEnsemble]:
-    """One child ensemble per qubit slot; a single ensemble serves all."""
-    if isinstance(child_ensembles, ChannelEnsemble):
-        return [child_ensembles] * code.n
-    children = list(child_ensembles)
-    if len(children) != code.n:
-        raise ChannelError(f"need {code.n} child ensembles, got {len(children)}")
-    return children
 
 
 def _ordered_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
@@ -315,12 +308,31 @@ def _assignment_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
         yield mult[start:start + _CHUNK] * child.weights[idx].prod(axis=1), diag[idx]
 
 
+def _level_chunks(code: StabilizerCode, child_ensembles, budget: int):
+    """Yield (assignment weights, joint probabilities, syndrome weights) per chunk.
+
+    The loop of both exact paths: one child ensemble per slot (a single one
+    serves all), the budget check, and the level map of each chunk.
+    """
+    if isinstance(child_ensembles, ChannelEnsemble):
+        children = [child_ensembles] * code.n
+    else:
+        children = list(child_ensembles)
+        if len(children) != code.n:
+            raise ChannelError(f"need {code.n} child ensembles, got {len(children)}")
+    combinations = count_combinations(children)
+    if combinations > budget:
+        raise BudgetExceeded(combinations, budget)
+    for assign_w, diags in _assignment_chunks(code, children):
+        p = _coset_map_batch(code, diags)
+        yield assign_w, p, p.sum(axis=2)
+
+
 def exact_level(
     code: StabilizerCode,
     child_ensembles,
     *,
     budget: int = DEFAULT_BUDGET,
-    dedup_tolerance: float = DEDUP_TOL,
     prune_floor: float = PRUNE_FLOOR,
 ) -> ChannelEnsemble:
     """One exact concatenation level on n child ensembles.
@@ -331,15 +343,8 @@ def exact_level(
     Raises :class:`BudgetExceeded` if there are more than ``budget`` ordered
     assignments, however many orbits they fall into.
     """
-    children = _as_children(code, child_ensembles)
-    combinations = count_combinations(children)
-    if combinations > budget:
-        raise BudgetExceeded(combinations, budget)
-
-    acc = _Accumulator(dedup_tolerance)
-    for assign_w, diags in _assignment_chunks(code, children):
-        p = _coset_map_batch(code, diags)
-        syn_w = p.sum(axis=2)
+    acc = _Accumulator(DEDUP_TOL)
+    for assign_w, p, syn_w in _level_chunks(code, child_ensembles, budget):
         flat_w = (assign_w[:, None] * syn_w).reshape(-1)
         rows = p.reshape(-1, 4)
         keep = flat_w > 0.0
@@ -347,7 +352,7 @@ def exact_level(
         acc.add(flat_w[keep], _optimize_rows(rows))
 
     weights, channels = acc.finish(prune_floor)
-    return ChannelEnsemble(weights, channels, dedup_tolerance=dedup_tolerance)
+    return ChannelEnsemble(weights, channels)
 
 
 def exact_level_entropy(
@@ -363,17 +368,9 @@ def exact_level_entropy(
     weights and conditional rows, and is invariant under the per-entry
     recovery relabeling.
     """
-    children = _as_children(code, child_ensembles)
-    combinations = count_combinations(children)
-    if combinations > budget:
-        raise BudgetExceeded(combinations, budget)
-
     total = 0.0
-    for assign_w, diags in _assignment_chunks(code, children):
-        p = _coset_map_batch(code, diags)
-        syn_w = p.sum(axis=2)
-        rows = p / np.maximum(syn_w, 1e-300)[:, :, None]
-        h = (-rows * np.log2(np.where(rows > 0.0, rows, 1.0))).sum(axis=2)
+    for assign_w, p, syn_w in _level_chunks(code, child_ensembles, budget):
+        h = row_entropy(p / np.maximum(syn_w, 1e-300)[:, :, None])
         total += float((assign_w[:, None] * syn_w * h).sum())
     return total
 
@@ -384,7 +381,6 @@ def concatenate_exact(
     levels: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    dedup_tolerance: float = DEDUP_TOL,
     prune_floor: float = PRUNE_FLOOR,
 ) -> ChannelEnsemble:
     """Ensemble after the given number of exact concatenation levels.
@@ -395,15 +391,10 @@ def concatenate_exact(
         raise ChannelError("levels must be >= 0")
     ens = ChannelEnsemble.singleton(noise)
     for _ in range(levels):
-        ens = exact_level(code, ens, budget=budget,
-                          dedup_tolerance=dedup_tolerance, prune_floor=prune_floor)
+        ens = exact_level(code, ens, budget=budget, prune_floor=prune_floor)
     return ens
 
 
 def ensemble_entropy(e: ChannelEnsemble) -> float:
     """Mean conditional Shannon entropy (bits) of the ensemble's channels."""
-    c = e.channels
-    h = np.zeros_like(c)
-    pos = c > 0.0
-    h[pos] = -c[pos] * np.log2(c[pos])
-    return float(e.weights @ h.sum(axis=1))
+    return float(e.weights @ row_entropy(e.channels))

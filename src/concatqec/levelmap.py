@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HAD4, ChannelError, OneQubitSuperop, PauliProbVec
+from .channels import _SIGMA, HAD4, ChannelError, OneQubitSuperop, PauliProbVec
 from .codes import CodeError, StabilizerCode, encoding_column
 from .pauli import PauliString, eta, multiply
 
@@ -45,13 +45,6 @@ __all__ = [
 
 #: The n <= 3 bound keeps the oracle's 4^n x 4^n matrices trivially small.
 GENERAL_ORACLE_MAX_QUBITS = 3
-
-_SIGMA_MATS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 _CLS_TABLE = np.array([[0, 3], [1, 2]], dtype=np.int64)
 
@@ -169,6 +162,17 @@ def _coset_map_batch(code: StabilizerCode, diags: np.ndarray) -> np.ndarray:
     return np.maximum(p, 0.0)
 
 
+def _conditional(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Syndrome weights and conditional channels of joint probabilities p[..., class].
+
+    A syndrome of zero weight gets the identity channel as placeholder.
+    """
+    w = p.sum(axis=-1)
+    pos = w > 0.0
+    return w, np.where(pos[..., None], p / np.where(pos, w, 1.0)[..., None],
+                       [1.0, 0.0, 0.0, 0.0])
+
+
 def coset_map_probs(code: StabilizerCode, noise) -> np.ndarray:
     """Joint (syndrome, logical class) probabilities, shape (2^(n-1), 4).
 
@@ -182,16 +186,10 @@ def coset_map_probs(code: StabilizerCode, noise) -> np.ndarray:
 
 def coset_map(code: StabilizerCode, noise) -> list[SyndromeChannel]:
     """Per-syndrome conditional channels of one encoding level."""
-    p = coset_map_probs(code, noise)
-    out = []
-    for beta in range(code.n_syndromes):
-        w = float(p[beta].sum())
-        if w > 0.0:
-            channel = PauliProbVec.from_array(p[beta] / w)
-        else:
-            channel = PauliProbVec(1.0, 0.0, 0.0, 0.0)
-        out.append(SyndromeChannel(beta, code.representatives[beta], w, channel))
-    return out
+    w, rows = _conditional(coset_map_probs(code, noise))
+    return [SyndromeChannel(beta, code.representatives[beta], float(w[beta]),
+                            PauliProbVec.from_array(rows[beta]))
+            for beta in range(code.n_syndromes)]
 
 
 def coset_map_enumerate(code: StabilizerCode, noise) -> np.ndarray:
@@ -255,9 +253,9 @@ def pauli_matrix(t: PauliString) -> np.ndarray:
         xb, zb = (t.x >> j) & 1, (t.z >> j) & 1
         qj = np.eye(2, dtype=complex)
         if xb:
-            qj = qj @ _SIGMA_MATS[1]
+            qj = qj @ _SIGMA[1]
         if zb:
-            qj = qj @ _SIGMA_MATS[3]
+            qj = qj @ _SIGMA[3]
         m = np.kron(m, qj)
     return (1j ** t.phase) * m
 

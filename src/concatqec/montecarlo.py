@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HAD4, ChannelError, PauliProbVec
+from .channels import HAD4, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode
 from .ensemble import _optimize_rows
-from .levelmap import _coset_map_batch, coset_map_probs
+from .levelmap import _coset_map_batch, _conditional, coset_map_probs
 
 __all__ = ["MCEstimate", "mc_concatenate"]
 
@@ -76,13 +76,6 @@ class _Registry:
         return self._matrix
 
 
-def _entropy_rows(rows: np.ndarray) -> np.ndarray:
-    h = np.zeros_like(rows)
-    pos = rows > 0.0
-    h[pos] = -rows[pos] * np.log2(rows[pos])
-    return h.sum(axis=1)
-
-
 class _StreamWorker:
     """One independent sampling stream with its own memo and registry."""
 
@@ -93,10 +86,7 @@ class _StreamWorker:
         self.registry = _Registry()
         self.memo: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-        p1 = coset_map_probs(code, base_noise)
-        w1 = p1.sum(axis=1)
-        rows1 = np.where(w1[:, None] > 0.0, p1 / np.maximum(w1, 1e-300)[:, None],
-                         np.array([1.0, 0.0, 0.0, 0.0]))
+        w1, rows1 = _conditional(coset_map_probs(code, base_noise))
         self.cum1 = np.cumsum(w1)
         self.cum1[-1] = 1.0
         self.ids1 = np.array([self.registry.register(r) for r in rows1])
@@ -111,11 +101,7 @@ class _StreamWorker:
         if missing:
             rows = self.registry.matrix()
             diags = rows[uniq_keys[missing]] @ HAD4.T
-            p = _coset_map_batch(self.code, diags)
-            w = p.sum(axis=2)
-            cond = np.where(w[:, :, None] > 0.0,
-                            p / np.maximum(w, 1e-300)[:, :, None],
-                            np.array([1.0, 0.0, 0.0, 0.0]))
+            w, cond = _conditional(_coset_map_batch(self.code, diags))
             for pos, k in enumerate(missing):
                 cum = np.cumsum(w[pos])
                 cum[-1] = 1.0
@@ -146,7 +132,7 @@ class _StreamWorker:
                 beta = (cums[inverse] <= u[:, None]).sum(axis=1)
                 ids = idtabs[inverse, beta].reshape(s, width)
             rows = _optimize_rows(self.registry.matrix()[ids[:, 0]])
-            ent[done:done + s] = _entropy_rows(rows)
+            ent[done:done + s] = row_entropy(rows)
             inf[done:done + s] = 1.0 - rows[:, 0]
             done += s
         return ent, inf

@@ -15,7 +15,7 @@ from concatqec import (
     quasi_entropy_contribution,
     superop_of_kraus,
 )
-from concatqec.channels import PauliBasisState
+from concatqec.channels import row_entropy
 
 raw4 = st.lists(st.floats(1e-4, 1.0), min_size=4, max_size=4)
 
@@ -34,13 +34,37 @@ def test_diag_prob_round_trip(p):
 
 def test_known_diagonals():
     bit_flip = PauliProbVec.from_array([0.7, 0.3, 0.0, 0.0])
-    d = probs_to_diag(bit_flip).as_array()
+    d = probs_to_diag(bit_flip)
     assert np.allclose(d, [1.0, 1.0, 0.4, 0.4])  # [1, 1, x, x] with x = 1-2p
+
+
+@pytest.mark.parametrize("d", [[1.0, 1.0, 1.0], [1.0] * 5, [[1.0, 1.0, 1.0, 1.0]]])
+def test_diag_to_probs_rejects_wrong_length(d):
+    with pytest.raises(ChannelError):
+        diag_to_probs(d)
 
 
 def test_entropy_endpoints():
     assert entropy(PauliProbVec.from_array([1, 0, 0, 0])) == 0.0
     assert entropy(PauliProbVec.from_array([0.25] * 4)) == pytest.approx(2.0)
+
+
+def test_row_entropy_batch_matches_entropy():
+    rng = np.random.default_rng(3)
+    batch = rng.random((3, 5, 4))
+    batch /= batch.sum(axis=-1, keepdims=True)
+    batch[0, 1] = 0.0
+    batch[2, 4] = 0.0
+    batch[1, 2] = [0.0, 1.0, 0.0, 0.0]
+    h = row_entropy(batch)
+    assert h.shape == (3, 5)
+    for k, s in np.ndindex(3, 5):
+        if batch[k, s].any():
+            want = entropy(PauliProbVec.from_array(batch[k, s]))
+            assert h[k, s] == pytest.approx(want, abs=1e-15)
+        else:
+            assert h[k, s] == 0.0
+    assert h[1, 2] == 0.0 and not np.signbit(h[1, 2])
 
 
 @given(prob_vecs())
@@ -139,10 +163,3 @@ def test_amplitude_damping_superop_is_not_diagonal():
     s = superop_of_kraus([k0, k1])
     assert s.is_trace_preserving()
     assert not np.allclose(s.m, np.diag(np.diag(s.m)))
-
-
-@given(st.lists(st.floats(-0.5, 0.5), min_size=3, max_size=3))
-def test_density_round_trip(bloch):
-    state = PauliBasisState(1, np.array([1.0, *bloch]))
-    back = PauliBasisState.from_density(state.to_density())
-    assert np.allclose(back.c, state.c, atol=1e-12)

@@ -204,6 +204,17 @@ def test_reproduce_tables_dry_run(capsys):
     assert {r["code"] for r in rows} == {"five-qubit", "steane"}
 
 
+def test_reproduce_tables_out_creates_missing_directory(capsys, tmp_path):
+    path = tmp_path / "new" / "tables.csv"
+    code, out, _ = run(capsys, "reproduce-tables", "--out", str(path))
+    assert code == 0
+    assert out == ""
+    _, header, rows = parse_csv(path.read_text())
+    assert header == list(COLUMNS["reproduce-tables"])
+    assert len(rows) == 16
+    assert all(r["status"] == "pass" for r in rows)
+
+
 def test_reproduce_tables_dry_run_with_mc(capsys):
     code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--with-mc")
     assert code == 0

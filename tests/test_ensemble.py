@@ -1,4 +1,5 @@
 import itertools
+import logging
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from concatqec import (
 )
 from concatqec import ensemble as ensemble_module
 from concatqec.codes import qubit_automorphisms
-from concatqec.ensemble import _optimize_rows, count_combinations
+from concatqec.ensemble import DEDUP_TOL, _Accumulator, _optimize_rows, count_combinations
 
 CODE_NAMES = ["bitflip2", "rep3", "five-qubit", "steane"]
 
@@ -143,14 +144,11 @@ def test_ensemble_validation():
         ChannelEnsemble(np.array([]), np.empty((0, 4)))
 
 
-def test_ensemble_average_and_entries():
+def test_ensemble_average_channel():
     e = ChannelEnsemble(np.array([0.25, 0.75]),
                         np.array([[1.0, 0.0, 0.0, 0.0],
                                   [0.0, 1.0, 0.0, 0.0]]))
     assert np.allclose(e.average_channel().as_array(), [0.25, 0.75, 0.0, 0.0])
-    entries = e.entries()
-    assert entries[0][0] == 0.25
-    assert np.allclose(entries[1][1].as_array(), [0.0, 1.0, 0.0, 0.0])
 
 
 def test_ensemble_entropy_known_mixture():
@@ -283,6 +281,20 @@ def test_steane_depolarizing_level1_near_ties_collapse(codes, p):
     assert ens.size == 5
     streamed = exact_level_entropy(code, ChannelEnsemble.singleton(noise))
     assert ensemble_entropy(ens) == pytest.approx(streamed, abs=1e-12)
+
+
+@pytest.mark.parametrize("family,p,skipped", [("depolarizing", 0.063, True),
+                                               ("indep-flips", 0.1095, False)])
+def test_skipped_boundary_merge_is_reported(codes, caplog, family, p, skipped):
+    with caplog.at_level(logging.WARNING, logger="concatqec"):
+        ens = concatenate_exact(codes["steane"], noise_family(family, p), 2)
+    warnings = [r.getMessage() for r in caplog.records if r.name == "concatqec"]
+    assert (ens.size > _Accumulator._MERGE_CAP) == skipped
+    if skipped:
+        assert len(warnings) == 1
+        assert f"{ens.size} entries" in warnings[0] and f"{DEDUP_TOL:g}" in warnings[0]
+    else:
+        assert warnings == []
 
 
 # ------------------------------------------------------- orbit enumeration

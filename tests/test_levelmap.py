@@ -82,7 +82,7 @@ def test_bitflip2_syndrome_map_rows(raw_a, raw_b):
     # shorthand; syndrome 1 under recovery XI flips the second terms' signs.
     bf2 = get_code("bitflip2")
     a, b = normalized(raw_a), normalized(raw_b)
-    da, db = (probs_to_diag(q).as_array() for q in (a, b))
+    da, db = (probs_to_diag(q) for q in (a, b))
     d = quasi_diags(bf2, [a, b])
     want0 = 0.5 * np.array([
         da[0] * db[0] + da[3] * db[3],

@@ -12,14 +12,10 @@ from .channels import (
     OneQubitSuperop,
     PauliProbVec,
     apply_logical_pauli,
-    diag_to_probs,
     entropy,
     noise_family,
-    probs_to_diag,
-    quasi_entropy_contribution,
-    superop_of_kraus,
 )
-from .codes import CodeError, StabilizerCode, builtin_codes, encoding_column, get_code, load_code
+from .codes import CodeError, StabilizerCode, builtin_codes, encoding_column, get_code
 from .ensemble import (
     BudgetExceeded,
     ChannelEnsemble,
@@ -29,7 +25,7 @@ from .ensemble import (
     exact_level_entropy,
     optimize_recovery,
 )
-from .levelmap import BlockNoise, SyndromeChannel, blind_map, coset_map, coset_map_enumerate, coset_map_probs, general_map_oracle
+from .levelmap import BlockNoise, blind_map, coset_map_enumerate, coset_map_probs, general_map_oracle
 from .montecarlo import MCEstimate, mc_concatenate
 from .pauli import PauliError, PauliString, enumerate_group, eta, multiply
 from .reference import ReferenceCell, exact_cells, sampled_cells
@@ -39,13 +35,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PauliError", "PauliString", "eta", "multiply", "enumerate_group",
-    "ChannelError", "PauliProbVec", "OneQubitSuperop",
-    "diag_to_probs", "probs_to_diag", "entropy", "quasi_entropy_contribution",
-    "apply_logical_pauli", "noise_family", "superop_of_kraus",
-    "CodeError", "StabilizerCode", "builtin_codes", "get_code", "load_code",
+    "ChannelError", "PauliProbVec", "OneQubitSuperop", "entropy",
+    "apply_logical_pauli", "noise_family",
+    "CodeError", "StabilizerCode", "builtin_codes", "get_code",
     "encoding_column",
-    "BlockNoise", "SyndromeChannel", "coset_map", "coset_map_probs",
-    "coset_map_enumerate", "blind_map", "general_map_oracle",
+    "BlockNoise", "coset_map_probs", "coset_map_enumerate", "blind_map",
+    "general_map_oracle",
     "ChannelEnsemble", "BudgetExceeded", "optimize_recovery", "exact_level",
     "exact_level_entropy", "concatenate_exact", "ensemble_entropy",
     "MCEstimate", "mc_concatenate",

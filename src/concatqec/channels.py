@@ -9,14 +9,12 @@ Two equivalent pictures are used throughout:
 
 The two are exchanged by the involutive 4-point transform ``HAD4`` (rows are
 the commutation signs of I, X, Y, Z against each other).  General one-qubit
-superoperators (possibly non-diagonal) are supported as a construction
-convenience and as the small-n oracle; the production pipeline runs entirely
-on probability vectors.
+superoperators (possibly non-diagonal) are the input of the small-n oracle;
+the production pipeline runs entirely on probability vectors.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,15 +26,11 @@ __all__ = [
     "HAD4",
     "PauliProbVec",
     "OneQubitSuperop",
-    "diag_to_probs",
-    "probs_to_diag",
     "entropy",
     "row_entropy",
-    "quasi_entropy_contribution",
     "apply_logical_pauli",
     "noise_family",
     "NOISE_FAMILIES",
-    "superop_of_kraus",
 ]
 
 #: Numerical tolerance for clamping tiny negative probabilities.
@@ -61,15 +55,6 @@ HAD4 = np.array(
      [1, 1, -1, -1],
      [1, -1, 1, -1],
      [1, -1, -1, 1]], dtype=np.float64)
-
-#: Single-qubit Pauli matrices in the order I, X, Y, Z, used only for
-#: Kraus-form construction and dense Pauli strings.
-_SIGMA = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
 
 
 class ChannelError(ValueError):
@@ -107,29 +92,6 @@ class PauliProbVec:
     def weight(self) -> float:
         return self.p_i + self.p_x + self.p_y + self.p_z
 
-    def normalized(self) -> "PauliProbVec":
-        w = self.weight()
-        if w <= 0.0:
-            raise ChannelError("cannot normalize a zero-weight quasi-channel")
-        return PauliProbVec(self.p_i / w, self.p_x / w, self.p_y / w, self.p_z / w)
-
-
-def diag_to_probs(d) -> PauliProbVec:
-    """Pauli probabilities of a superoperator diagonal [p, x, y, z].
-
-    Raises if any resulting component is negative beyond tolerance, which
-    signals a diagonal that is not a Pauli (quasi-)channel.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    if d.shape != (4,):
-        raise ChannelError("diagonal must have exactly 4 entries")
-    return PauliProbVec.from_array(_clamped(HAD4 @ d / 4.0))
-
-
-def probs_to_diag(p: PauliProbVec) -> np.ndarray:
-    """Superoperator diagonal [p, x, y, z]; exact inverse of :func:`diag_to_probs`."""
-    return HAD4 @ p.as_array()
-
 
 def row_entropy(q) -> np.ndarray:
     """Sum of -q*log2(q) over the last axis of any batch of rows; 0*log2(0) = 0."""
@@ -144,17 +106,6 @@ def entropy(p: PauliProbVec) -> float:
     if w <= 0.0:
         raise ChannelError("entropy undefined for zero-weight quasi-channel")
     return float(row_entropy(p.as_array() / w))
-
-
-def quasi_entropy_contribution(p: PauliProbVec) -> float:
-    """Entropy contribution -h(w) + sum_s h(p_s) of a quasi-channel.
-
-    Identically equals ``weight * entropy`` of the normalized channel.
-    """
-    w = p.weight()
-    if w <= 0.0:
-        raise ChannelError("entropy undefined for zero-weight quasi-channel")
-    return float(row_entropy(p.as_array()) - row_entropy([w]))
 
 
 def apply_logical_pauli(p: PauliProbVec, s: str) -> PauliProbVec:
@@ -223,9 +174,6 @@ class OneQubitSuperop:
             raise ChannelError("superoperator must be 4x4")
         object.__setattr__(self, "m", m)
 
-    def is_trace_preserving(self, tol: float = 1e-9) -> bool:
-        return bool(np.allclose(self.m[0], [1.0, 0.0, 0.0, 0.0], atol=tol))
-
     @classmethod
     def identity(cls) -> "OneQubitSuperop":
         return cls(np.eye(4))
@@ -234,27 +182,3 @@ class OneQubitSuperop:
     def from_probs(cls, p: PauliProbVec) -> "OneQubitSuperop":
         return cls(np.diag(HAD4 @ p.as_array()))
 
-
-def superop_of_kraus(kraus: list[np.ndarray], *, tol: float = 1e-9) -> OneQubitSuperop:
-    """Pauli-basis superoperator of a one-qubit channel given by Kraus operators.
-
-    For Pauli Kraus sets the result is diagonal with commutation-sign entries.
-    A set that is not trace preserving produces a quasi-channel and a warning;
-    a set that does not preserve Hermiticity (complex entries in the Pauli
-    basis) is rejected.
-    """
-    ops = [np.asarray(a, dtype=complex) for a in kraus]
-    if any(a.shape != (2, 2) for a in ops):
-        raise ChannelError("Kraus operators must be 2x2")
-    total = sum(a.conj().T @ a for a in ops)
-    if not np.allclose(total, np.eye(2), atol=tol):
-        warnings.warn("Kraus set is not trace preserving; returning a quasi-channel",
-                      stacklevel=2)
-    m = np.zeros((4, 4), dtype=complex)
-    for col, tau in enumerate(_SIGMA):
-        out = sum(a @ tau @ a.conj().T for a in ops)
-        for row, sigma in enumerate(_SIGMA):
-            m[row, col] = 0.5 * np.trace(sigma @ out)
-    if np.abs(m.imag).max() > tol:
-        raise ChannelError("Kraus set does not preserve Hermiticity")
-    return OneQubitSuperop(m.real)

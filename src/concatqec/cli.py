@@ -23,12 +23,13 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 
-from .channels import ChannelError, NOISE_FAMILIES, entropy, noise_family
+from .channels import ChannelError, NOISE_FAMILIES, noise_family
 from .codes import CodeError, builtin_codes, get_code
-from .ensemble import BudgetExceeded, concatenate_exact, exact_level_entropy
+from .ensemble import DEFAULT_BUDGET, BudgetExceeded
 from .montecarlo import mc_concatenate
 from .reference import ReferenceCell, exact_cells, sampled_cells
-from .thresholds import NoStraddle, entropy_critical_p, threshold_series, unoptimized_threshold
+from .thresholds import (
+    NoStraddle, _exact_entropy, entropy_critical_p, threshold_series, unoptimized_threshold)
 
 __all__ = ["main", "RunConfig"]
 
@@ -201,14 +202,10 @@ def _cmd_entropy(config: RunConfig) -> tuple[list[dict], int]:
         "samples": None,
         "seed": None,
     }
-    if config.levels == 0:
-        row["entropy"] = entropy(noise)
-        return [row], 0
-    code = get_code(config.code)
-    if config.method in ("exact", "auto"):
+    code = get_code(config.code) if config.code else None
+    if config.levels == 0 or config.method in ("exact", "auto"):
         try:
-            children = concatenate_exact(code, noise, config.levels - 1)
-            row["entropy"] = exact_level_entropy(code, children)
+            row["entropy"] = _exact_entropy(code, noise, config.levels, DEFAULT_BUDGET)
             return [row], 0
         except BudgetExceeded:
             if config.method == "exact":

@@ -5,8 +5,8 @@ pair.  The class precomputes, for every syndrome, a minimum-weight recovery
 representative, and classifies normalizer elements into the four logical
 classes I, X, Y, Z.
 
-Codes are loadable from line-oriented text files (``key value`` pairs, ``#``
-comments); the builtin codes ship as package data.
+Codes load from their text form (``key value`` lines, ``#`` comments) via
+:func:`load_code_text`; the builtin codes ship as package data in that form.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from importlib import resources
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "CodeError",
     "StabilizerCode",
     "encoding_column",
-    "load_code",
     "load_code_text",
     "builtin_codes",
     "get_code",
@@ -294,11 +292,6 @@ def load_code_text(text: str, name_hint: str = "<text>") -> StabilizerCode:
         )
     except PauliError as exc:
         raise CodeError(f"{name_hint}: {exc}") from exc
-
-
-def load_code(path: str | Path) -> StabilizerCode:
-    path = Path(path)
-    return load_code_text(path.read_text(), name_hint=str(path))
 
 
 def _canonical(name: str) -> str:

@@ -9,9 +9,9 @@ per-syndrome level map, and flattens the results into the next ensemble.
 Which qubit receives which entry matters in general, because a stabilizer
 code treats its qubits asymmetrically.  The permutations in the code's qubit
 automorphism group (:func:`~concatqec.codes.qubit_automorphisms`) only
-relabel the syndromes of the level map, so when all slots share one child
-ensemble a level enumerates one assignment per orbit of that group, weighted
-by the orbit's size; otherwise it enumerates every ordered assignment.
+relabel the syndromes of the level map, so a level enumerates one assignment
+per orbit of that group, weighted by the orbit's size; a code whose group is
+trivial enumerates every ordered assignment.
 Deduplicating the entries of each child ensemble first is what keeps exact
 level-2 enumeration tractable.  Each entry is canonicalized by applying its
 optimal logical recovery (the class of maximal probability moved to the
@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .channels import (
     HAD4, KLEIN, LETTERS, ChannelError, PauliProbVec, apply_logical_pauli, row_entropy)
 from .codes import StabilizerCode, qubit_automorphisms
-from .levelmap import _coset_map_batch
+from .levelmap import _conditional, _coset_map_batch
 
 __all__ = [
     "DEDUP_TOL",
@@ -220,45 +219,28 @@ class _Accumulator:
         return w, c
 
 
-def count_combinations(children: list[ChannelEnsemble]) -> int:
-    """Number of ordered assignments of child entries to the n slots.
-
-    The budget counts these even where a level enumerates by orbits, so the
-    exact/Monte Carlo choice does not depend on the code's automorphisms.
-    """
-    return math.prod(ens.size for ens in children)
-
-
-def _ordered_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
+def _ordered_chunks(code: StabilizerCode, child: ChannelEnsemble):
     """Yield (assignment weights, per-slot diagonals) over ordered assignments.
 
-    Assignment t picks entry (t // stride[i]) % size[i] for slot i, so a flat
-    counter enumerates the mixed-radix product of entry choices.
+    Assignment t picks entry (t // size^(n-1-i)) % size for slot i, the
+    numbering of :func:`_orbit_table`.
     """
-    sizes = np.array([ens.size for ens in children], dtype=np.int64)
-    strides = np.ones(code.n, dtype=np.int64)
-    for i in range(code.n - 2, -1, -1):
-        strides[i] = strides[i + 1] * sizes[i + 1]
-    child_diags = [ens.channels @ HAD4.T for ens in children]
-
-    total = int(sizes.prod())
+    size = child.size
+    strides = size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    diag = child.channels @ HAD4.T
+    total = size ** code.n
     for start in range(0, total, _CHUNK):
         t = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        assign_w = np.ones(t.size)
-        diags = np.empty((t.size, code.n, 4))
-        for i, ens in enumerate(children):
-            idx = (t // strides[i]) % sizes[i]
-            assign_w *= ens.weights[idx]
-            diags[:, i, :] = child_diags[i][idx]
-        yield assign_w, diags
+        idx = (t[:, None] // strides) % size
+        yield child.weights[idx].prod(axis=1), diag[idx]
 
 
 @functools.lru_cache(maxsize=16)
 def _orbit_table(code: StabilizerCode, size: int) -> tuple[np.ndarray, np.ndarray]:
     """One assignment per orbit of the code's qubit automorphisms, and orbit sizes.
 
-    Assignments of ``size`` entries to the n slots are numbered in mixed
-    radix with slot 0 most significant, as in :func:`_ordered_chunks`; the
+    Assignments of ``size`` entries to the n slots are numbered in base
+    ``size`` with slot 0 most significant, as in :func:`_ordered_chunks`; the
     representative of an orbit is its lowest number.  Returns the
     representatives' per-slot entries, shape (orbits, n), and the number of
     ordered assignments in each orbit, both as small read-only integers.
@@ -287,19 +269,18 @@ def _orbit_table(code: StabilizerCode, size: int) -> tuple[np.ndarray, np.ndarra
     return entries, mult
 
 
-def _assignment_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
+def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble):
     """Yield (assignment weights, per-slot diagonals) covering every assignment.
 
-    When all n slots share one child ensemble and the code has nontrivial
-    qubit automorphisms, each chunk holds orbit representatives, weighted by
-    their orbit sizes: an automorphism only relabels the syndromes of the
-    level map, so every assignment of an orbit contributes the same
-    (syndrome weight, conditional channel) multiset.  Otherwise every ordered
-    assignment is yielded once.
+    Each chunk holds orbit representatives of the code's qubit automorphisms,
+    weighted by their orbit sizes: an automorphism only relabels the
+    syndromes of the level map, so every assignment of an orbit contributes
+    the same (syndrome weight, conditional channel) multiset.  A code whose
+    group is trivial yields every ordered assignment once, and stores no
+    size^n orbit table.
     """
-    child = children[0]
-    if any(c is not child for c in children) or len(qubit_automorphisms(code)) == 1:
-        yield from _ordered_chunks(code, children)
+    if len(qubit_automorphisms(code)) == 1:
+        yield from _ordered_chunks(code, child)
         return
     entries, mult = _orbit_table(code, child.size)
     diag = child.channels @ HAD4.T
@@ -308,48 +289,38 @@ def _assignment_chunks(code: StabilizerCode, children: list[ChannelEnsemble]):
         yield mult[start:start + _CHUNK] * child.weights[idx].prod(axis=1), diag[idx]
 
 
-def _level_chunks(code: StabilizerCode, child_ensembles, budget: int):
-    """Yield (assignment weights, joint probabilities, syndrome weights) per chunk.
+def _level_chunks(code: StabilizerCode, child: ChannelEnsemble, budget: int):
+    """Yield (assignment weights, syndrome weights, conditional rows) per chunk.
 
-    The loop of both exact paths: one child ensemble per slot (a single one
-    serves all), the budget check, and the level map of each chunk.
+    The loop of both exact paths: the budget check, then the level map of
+    each chunk of assignments.
     """
-    if isinstance(child_ensembles, ChannelEnsemble):
-        children = [child_ensembles] * code.n
-    else:
-        children = list(child_ensembles)
-        if len(children) != code.n:
-            raise ChannelError(f"need {code.n} child ensembles, got {len(children)}")
-    combinations = count_combinations(children)
+    combinations = child.size ** code.n
     if combinations > budget:
         raise BudgetExceeded(combinations, budget)
-    for assign_w, diags in _assignment_chunks(code, children):
-        p = _coset_map_batch(code, diags)
-        yield assign_w, p, p.sum(axis=2)
+    for assign_w, diags in _assignment_chunks(code, child):
+        yield assign_w, *_conditional(_coset_map_batch(code, diags))
 
 
 def exact_level(
     code: StabilizerCode,
-    child_ensembles,
+    child: ChannelEnsemble,
     *,
     budget: int = DEFAULT_BUDGET,
     prune_floor: float = PRUNE_FLOOR,
 ) -> ChannelEnsemble:
-    """One exact concatenation level on n child ensembles.
+    """One exact concatenation level, every slot drawing from ``child``.
 
-    Accepts a single ensemble (shared by all n slots) or a sequence of n.
     Covers every ordered assignment of one entry per slot, by orbits of the
-    code's qubit automorphisms where the slots share one ensemble.
-    Raises :class:`BudgetExceeded` if there are more than ``budget`` ordered
-    assignments, however many orbits they fall into.
+    code's qubit automorphisms.  Raises :class:`BudgetExceeded` if there are
+    more than ``budget`` ordered assignments, however many orbits they fall
+    into.
     """
     acc = _Accumulator(DEDUP_TOL)
-    for assign_w, p, syn_w in _level_chunks(code, child_ensembles, budget):
+    for assign_w, syn_w, rows in _level_chunks(code, child, budget):
         flat_w = (assign_w[:, None] * syn_w).reshape(-1)
-        rows = p.reshape(-1, 4)
         keep = flat_w > 0.0
-        rows = rows[keep] / syn_w.reshape(-1)[keep][:, None]
-        acc.add(flat_w[keep], _optimize_rows(rows))
+        acc.add(flat_w[keep], _optimize_rows(rows.reshape(-1, 4)[keep]))
 
     weights, channels = acc.finish(prune_floor)
     return ChannelEnsemble(weights, channels)
@@ -357,7 +328,7 @@ def exact_level(
 
 def exact_level_entropy(
     code: StabilizerCode,
-    child_ensembles,
+    child: ChannelEnsemble,
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> float:
@@ -369,9 +340,8 @@ def exact_level_entropy(
     recovery relabeling.
     """
     total = 0.0
-    for assign_w, p, syn_w in _level_chunks(code, child_ensembles, budget):
-        h = row_entropy(p / np.maximum(syn_w, 1e-300)[:, :, None])
-        total += float((assign_w[:, None] * syn_w * h).sum())
+    for assign_w, syn_w, rows in _level_chunks(code, child, budget):
+        total += float((assign_w[:, None] * syn_w * row_entropy(rows)).sum())
     return total
 
 

@@ -28,14 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import _SIGMA, HAD4, ChannelError, OneQubitSuperop, PauliProbVec
+from .channels import HAD4, ChannelError, OneQubitSuperop, PauliProbVec
 from .codes import CodeError, StabilizerCode, encoding_column
 from .pauli import PauliString, eta, multiply
 
 __all__ = [
     "BlockNoise",
-    "SyndromeChannel",
-    "coset_map",
     "coset_map_probs",
     "coset_map_enumerate",
     "blind_map",
@@ -47,6 +45,10 @@ __all__ = [
 GENERAL_ORACLE_MAX_QUBITS = 3
 
 _CLS_TABLE = np.array([[0, 3], [1, 2]], dtype=np.int64)
+
+#: Pauli X and Z as dense matrices, for :func:`pauli_matrix`.
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 @dataclass(frozen=True)
@@ -77,21 +79,6 @@ class BlockNoise:
 
     def prob_array(self) -> np.ndarray:
         return np.stack([q.as_array() for q in self.per_qubit])
-
-
-@dataclass(frozen=True)
-class SyndromeChannel:
-    """One syndrome's conditional channel under the representative recovery.
-
-    ``weight`` is the syndrome probability (the I-diagonal of the quasi
-    channel); ``channel`` is normalized.  Zero-weight syndromes carry the
-    identity channel as a placeholder.
-    """
-
-    syndrome: int
-    recovery: PauliString
-    weight: float
-    channel: PauliProbVec
 
 
 def _letter_index(t: PauliString, j: int) -> int:
@@ -169,8 +156,9 @@ def _conditional(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     w = p.sum(axis=-1)
     pos = w > 0.0
-    return w, np.where(pos[..., None], p / np.where(pos, w, 1.0)[..., None],
-                       [1.0, 0.0, 0.0, 0.0])
+    rows = p / np.where(pos, w, 1.0)[..., None]
+    rows[~pos] = [1.0, 0.0, 0.0, 0.0]
+    return w, rows
 
 
 def coset_map_probs(code: StabilizerCode, noise) -> np.ndarray:
@@ -182,14 +170,6 @@ def coset_map_probs(code: StabilizerCode, noise) -> np.ndarray:
     block = BlockNoise.coerce(noise, code.n)
     diags = (block.prob_array() @ HAD4.T)[None, :, :]
     return _coset_map_batch(code, diags)[0]
-
-
-def coset_map(code: StabilizerCode, noise) -> list[SyndromeChannel]:
-    """Per-syndrome conditional channels of one encoding level."""
-    w, rows = _conditional(coset_map_probs(code, noise))
-    return [SyndromeChannel(beta, code.representatives[beta], float(w[beta]),
-                            PauliProbVec.from_array(rows[beta]))
-            for beta in range(code.n_syndromes)]
 
 
 def coset_map_enumerate(code: StabilizerCode, noise) -> np.ndarray:
@@ -253,9 +233,9 @@ def pauli_matrix(t: PauliString) -> np.ndarray:
         xb, zb = (t.x >> j) & 1, (t.z >> j) & 1
         qj = np.eye(2, dtype=complex)
         if xb:
-            qj = qj @ _SIGMA[1]
+            qj = qj @ _X
         if zb:
-            qj = qj @ _SIGMA[3]
+            qj = qj @ _Z
         m = np.kron(m, qj)
     return (1j ** t.phase) * m
 

@@ -56,15 +56,6 @@ class PauliString:
         return cls(n, 0, 0, 0)
 
     @classmethod
-    def single(cls, n: int, qubit: int, letter: str) -> "PauliString":
-        """Letter at one qubit, identity elsewhere."""
-        if not 0 <= qubit < n:
-            raise PauliError(f"qubit {qubit} out of range for n={n}")
-        xb, zb = _LETTER_BITS[letter]
-        k = 1 if letter == "Y" else 0
-        return cls(n, xb << qubit, zb << qubit, k)
-
-    @classmethod
     def from_text(cls, text: str) -> "PauliString":
         """Parse ``"XIZ"`` with an optional leading ``+``, ``-``, ``i`` or ``-i``."""
         s = text.strip()
@@ -99,9 +90,6 @@ class PauliString:
 
     def weight(self) -> int:
         return (self.x | self.z).bit_count()
-
-    def is_hermitian(self) -> bool:
-        return self.sign_exponent() % 2 == 0
 
     def __str__(self) -> str:
         return _PHASE_PREFIX[self.sign_exponent()] + self.letters()

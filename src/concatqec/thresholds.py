@@ -73,17 +73,18 @@ def _bracket(family: str) -> tuple[float, float]:
     return 0.0, NOISE_FAMILIES[family][2]
 
 
-def _exact_entropy_fn(code: StabilizerCode | None, family: str, level: int,
-                      budget: int):
-    def f(p: float) -> float:
-        q = noise_family(family, p)
-        if level == 0:
-            return entropy(q)
-        if code is None:
-            raise ValueError("levels above 0 require a code")
-        children = concatenate_exact(code, q, level - 1, budget=budget)
-        return exact_level_entropy(code, children, budget=budget)
-    return f
+def _exact_entropy(code: StabilizerCode | None, noise: PauliProbVec, level: int,
+                   budget: int) -> float:
+    """Exact mean entropy of the level-``level`` ensemble of ``noise``.
+
+    Level 0 is the raw channel and needs no code.
+    """
+    if level == 0:
+        return entropy(noise)
+    if code is None:
+        raise ValueError("levels above 0 require a code")
+    child = concatenate_exact(code, noise, level - 1, budget=budget)
+    return exact_level_entropy(code, child, budget=budget)
 
 
 def _bisect(f, lo: float, hi: float, target: float, tol: float) -> float:
@@ -133,9 +134,7 @@ def entropy_critical_p(
     budget: int = DEFAULT_BUDGET,
     samples: int = 100_000,
     seed: int = 0,
-    streams: int = 8,
     threads: int = 1,
-    bracket: tuple[float, float] | None = None,
 ) -> CriticalPoint:
     """Noise parameter where the level-``level`` ensemble entropy hits target.
 
@@ -145,34 +144,39 @@ def entropy_critical_p(
     """
     if method not in ("exact", "mc", "auto"):
         raise ValueError(f"unknown method {method!r}")
-    lo, hi = bracket if bracket is not None else _bracket(family)
+    lo, hi = _bracket(family)
     name = code.name if code is not None else None
 
     if method in ("exact", "auto"):
         try:
-            f = _exact_entropy_fn(code, family, level, budget)
-            p_star = _bisect(f, lo, hi, target, tol)
+            p_star = _bisect(
+                lambda p: _exact_entropy(code, noise_family(family, p), level, budget),
+                lo, hi, target, tol)
             return CriticalPoint(name, family, level, p_star, target, "exact", 0.0)
         except BudgetExceeded:
             if method == "exact":
                 raise
 
     return _mc_critical_p(code, family, level, target, lo, hi,
-                          samples=samples, seed=seed, streams=streams,
-                          threads=threads)
+                          samples=samples, seed=seed, threads=threads)
 
 
 def _mc_critical_p(code, family, level, target, lo, hi, *,
-                   samples, seed, streams, threads) -> CriticalPoint:
-    """Stochastic bisection with sample escalation, then a local linear fit."""
+                   samples, seed, threads) -> CriticalPoint:
+    """Stochastic bisection with sample escalation, then a local linear fit.
+
+    Evaluation k draws with a seed derived from the pair (seed, k), so runs
+    with different seeds share no streams.
+    """
     if code is None:
         raise ValueError("the Monte Carlo path requires a code")
     evals = 0
 
     def measure(p: float, n: int):
         nonlocal evals
+        eval_seed = int(np.random.SeedSequence((seed, evals)).generate_state(1)[0])
         est = mc_concatenate(code, noise_family(family, p), level, n,
-                             seed=seed + evals, streams=streams, threads=threads)
+                             seed=eval_seed, threads=threads)
         evals += 1
         return est
 
@@ -238,23 +242,20 @@ def unoptimized_threshold(
     code: StabilizerCode,
     family: str,
     tol: float = 1e-10,
-    *,
-    max_iters: int = 20_000,
-    bracket: tuple[float, float] | None = None,
 ) -> CriticalPoint:
     """Boundary of convergence of the iterated syndrome-blind level map.
 
     Below the threshold the iterates of :func:`blind_map` converge to the
     identity channel (all superoperator diagonals above 1 - 1e-9); above it
     they approach a non-identity fixed point or cycle, detected by iterate
-    stagnation away from the identity or by the iteration cap.
+    stagnation away from the identity or by a cap of 20,000 iterations.
     """
-    lo, hi = bracket if bracket is not None else _bracket(family)
+    lo, hi = _bracket(family)
 
     def converges(p: float) -> bool:
         q = noise_family(family, p)
         prev = q.as_array()
-        for _ in range(max_iters):
+        for _ in range(20_000):
             d = HAD4 @ prev
             if d[1:].min() > 1.0 - 1e-9:
                 return True
@@ -287,10 +288,8 @@ def threshold_series(
     target: float = 1.0,
     tol: float = 1e-10,
     method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
     samples: int = 100_000,
     seed: int = 0,
-    streams: int = 8,
     threads: int = 1,
 ) -> list[CriticalPoint]:
     """Critical values for levels 0..max_level (exact where budget admits)."""
@@ -298,6 +297,5 @@ def threshold_series(
     for level in range(max_level + 1):
         out.append(entropy_critical_p(
             code, family, level, target=target, tol=tol, method=method,
-            budget=budget, samples=samples, seed=seed, streams=streams,
-            threads=threads))
+            samples=samples, seed=seed, threads=threads))
     return out

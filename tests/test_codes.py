@@ -238,3 +238,12 @@ def test_automorphisms_only_relabel_syndromes(codes, name):
         for beta, rep in enumerate(code.representatives):
             image = code.syndrome_of(permuted(rep, perm))
             assert np.allclose(got[image], probs[beta], rtol=0.0, atol=1e-14)
+
+
+def test_random_code_automorphisms_match_brute_force(random_codes):
+    orders = set()
+    for code in random_codes:
+        group = qubit_automorphisms(code)
+        orders.add(len(group))
+        assert [tuple(g) for g in group.tolist()] == brute_force_automorphisms(code), code.name
+    assert {1, 2, 6, 24} <= orders

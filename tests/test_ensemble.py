@@ -24,7 +24,7 @@ from concatqec import (
 )
 from concatqec import ensemble as ensemble_module
 from concatqec.codes import qubit_automorphisms
-from concatqec.ensemble import DEDUP_TOL, _Accumulator, _optimize_rows, count_combinations
+from concatqec.ensemble import DEDUP_TOL, _Accumulator, _optimize_rows
 
 CODE_NAMES = ["bitflip2", "rep3", "five-qubit", "steane"]
 
@@ -161,13 +161,12 @@ def test_ensemble_entropy_known_mixture():
 # ---------------------------------------------------------------- exact level
 
 def test_exact_level_matches_per_syndrome_channels(codes):
-    # with one singleton per slot there is a single assignment, so the
-    # output is exactly the optimized per-syndrome conditional channels
+    # with a singleton child there is a single assignment, so the output is
+    # exactly the optimized per-syndrome conditional channels
     bf2 = codes["bitflip2"]
-    noises = [PauliProbVec.from_array(np.array([0.85, 0.05, 0.06, 0.04])),
-              PauliProbVec.from_array(np.array([0.7, 0.2, 0.04, 0.06]))]
-    rows = coset_map_probs(bf2, noises)
-    ens = exact_level(bf2, [ChannelEnsemble.singleton(q) for q in noises])
+    q = PauliProbVec.from_array(np.array([0.85, 0.05, 0.06, 0.04]))
+    rows = coset_map_probs(bf2, q)
+    ens = exact_level(bf2, ChannelEnsemble.singleton(q))
     assert ens.size == bf2.n_syndromes
     for beta in range(bf2.n_syndromes):
         w = rows[beta].sum()
@@ -194,15 +193,6 @@ def test_exact_level_output_is_normalized(codes, q):
     assert np.all(ens.channels[:, 0] >= ens.channels.max(axis=1) - 1e-12)
 
 
-def test_exact_level_single_vs_list_children(codes):
-    code = codes["rep3"]
-    base = exact_level(code, ChannelEnsemble.singleton(bit_flip(0.63)))
-    a = exact_level(code, base)
-    b = exact_level(code, [base] * code.n)
-    assert np.array_equal(a.weights, b.weights)
-    assert np.array_equal(a.channels, b.channels)
-
-
 def test_exact_level_entropy_agrees_with_flattened(codes):
     code = codes["rep3"]
     base = exact_level(
@@ -220,15 +210,8 @@ def test_budget_exceeded(codes):
     with pytest.raises(BudgetExceeded) as info:
         exact_level(code, base, budget=base.size ** code.n - 1)
     assert info.value.combinations == base.size ** code.n
-    assert count_combinations([base] * code.n) == base.size ** code.n
     with pytest.raises(BudgetExceeded):
         exact_level_entropy(code, base, budget=1)
-
-
-def test_wrong_child_count_rejected(codes):
-    with pytest.raises(ChannelError):
-        exact_level(codes["rep3"],
-                    [ChannelEnsemble.singleton(bit_flip(0.5))] * 2)
 
 
 def test_prune_floor_cannot_eat_everything(codes):
@@ -349,6 +332,20 @@ def test_orbit_exact_level_matches_ordered_enumeration(codes, name):
                            want.average_channel().as_array(), rtol=0.0, atol=1e-12)
 
 
+def test_random_code_orbit_paths_match_ordered_enumeration(random_codes):
+    rng = np.random.default_rng(8)
+    for code in random_codes:
+        for size in range(1, 4):
+            child = random_ensemble(rng, size)
+            want = ordered(exact_level_entropy, code, child)
+            assert exact_level_entropy(code, child) == pytest.approx(want, abs=1e-12)
+            got, want = exact_level(code, child), ordered(exact_level, code, child)
+            assert got.size == want.size, (code.name, size)
+            assert ensemble_entropy(got) == pytest.approx(ensemble_entropy(want), abs=1e-12)
+            assert np.allclose(got.average_channel().as_array(),
+                               want.average_channel().as_array(), rtol=0.0, atol=1e-12)
+
+
 def relabeled(code, perm):
     """The code with qubit j renamed perm[j]."""
     def move(e):
@@ -375,18 +372,10 @@ def test_relabeled_code_gives_same_entropies(codes, name):
             assert got == pytest.approx(want, abs=1e-12), (family, level)
 
 
-def test_distinct_children_take_ordered_path(codes):
+def test_shared_child_enumerates_orbits(codes):
     code = codes["five-qubit"]
-    rng = np.random.default_rng(4)
-    children = [random_ensemble(rng, 2) for _ in range(code.n)]
-    got = list(ensemble_module._assignment_chunks(code, children))
-    want = list(ensemble_module._ordered_chunks(code, children))
-    assert len(got) == len(want)
-    for (w_got, d_got), (w_want, d_want) in zip(got, want):
-        assert np.array_equal(w_got, w_want) and np.array_equal(d_got, d_want)
-    assert sum(w.size for w, _ in got) == 2 ** code.n
-
-    shared = list(ensemble_module._assignment_chunks(code, [children[0]] * code.n))
+    child = random_ensemble(np.random.default_rng(4), 2)
+    chunks = list(ensemble_module._assignment_chunks(code, child))
     orbits = len(ensemble_module._orbit_table(code, 2)[1])
-    assert sum(w.size for w, _ in shared) == orbits < 2 ** code.n
-    assert sum(w.sum() for w, _ in shared) == pytest.approx(1.0, abs=1e-12)
+    assert sum(w.size for w, _ in chunks) == orbits < 2 ** code.n
+    assert sum(w.sum() for w, _ in chunks) == pytest.approx(1.0, abs=1e-12)

@@ -10,11 +10,9 @@ from concatqec import (
     PauliProbVec,
     apply_logical_pauli,
     blind_map,
-    coset_map,
     coset_map_enumerate,
     coset_map_probs,
     general_map_oracle,
-    probs_to_diag,
 )
 from concatqec.codes import get_code
 from concatqec.levelmap import BlockNoise
@@ -40,11 +38,11 @@ def quasi_diags(code, noise):
 
 def test_identity_noise_concentrates_on_syndrome_zero(codes):
     for code in codes.values():
-        channels = coset_map(code, PauliProbVec.from_array([1, 0, 0, 0]))
-        assert channels[0].weight == pytest.approx(1.0)
-        assert np.allclose(channels[0].channel.as_array(), [1, 0, 0, 0])
-        for sc in channels[1:]:
-            assert sc.weight == pytest.approx(0.0, abs=1e-12)
+        rows = coset_map_probs(code, PauliProbVec.from_array([1, 0, 0, 0]))
+        assert rows[0].sum() == pytest.approx(1.0)
+        assert np.allclose(rows[0] / rows[0].sum(), [1, 0, 0, 0])
+        for row in rows[1:]:
+            assert row.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 @given(st.lists(raw4, min_size=5, max_size=5))
@@ -68,6 +66,15 @@ def test_enumeration_oracle_agreement(codes, name):
         assert np.abs(fast - slow).max() < 1e-10
 
 
+def test_random_code_enumeration_oracle_agreement(random_codes):
+    rng = np.random.default_rng(19)
+    for code in random_codes:
+        noise = [normalized(rng.uniform(0.01, 1.0, size=4)) for _ in range(code.n)]
+        fast = coset_map_probs(code, noise)
+        slow = coset_map_enumerate(code, noise)
+        assert np.abs(fast - slow).max() < 1e-10, code.name
+
+
 def test_bitflip2_syndrome_channels_closed_form(codes):
     bf2 = codes["bitflip2"]
     for x in (0.1, 0.35, 0.8):
@@ -82,7 +89,7 @@ def test_bitflip2_syndrome_map_rows(raw_a, raw_b):
     # shorthand; syndrome 1 under recovery XI flips the second terms' signs.
     bf2 = get_code("bitflip2")
     a, b = normalized(raw_a), normalized(raw_b)
-    da, db = (probs_to_diag(q) for q in (a, b))
+    da, db = (HAD4 @ q.as_array() for q in (a, b))
     d = quasi_diags(bf2, [a, b])
     want0 = 0.5 * np.array([
         da[0] * db[0] + da[3] * db[3],
@@ -260,8 +267,8 @@ def test_recovery_relabeling_matches_probability_permutation(codes):
     # channel by a logical X.
     bf2 = codes["bitflip2"]
     x = 0.4
-    channels = coset_map(bf2, bit_flip(x))
-    relabeled = apply_logical_pauli(channels[1].channel, "X")
+    row = coset_map_probs(bf2, bit_flip(x))[1]
+    relabeled = apply_logical_pauli(PauliProbVec.from_array(row / row.sum()), "X")
     sup = [OneQubitSuperop.from_probs(bit_flip(x))] * 2
     ix = bf2.class_representative("X") * bf2.representatives[1]
     g = general_map_oracle(bf2, sup, recoveries=[bf2.representatives[0], ix])

@@ -9,6 +9,7 @@ from concatqec import (
     threshold_series,
     unoptimized_threshold,
 )
+from concatqec import thresholds as thresholds_module
 
 # roots of H(noise(p)) = 1 bit, frozen from an independent extended-precision
 # bisection of the closed-form channel entropies
@@ -37,12 +38,6 @@ def test_level0_custom_target():
     cp = entropy_critical_p(None, "depolarizing", 0, target=1.5, tol=1e-12)
     probs = np.array([1 - 3 * cp.p_star] + [cp.p_star] * 3)
     assert -(probs * np.log2(probs)).sum() == pytest.approx(1.5, abs=1e-9)
-
-
-def test_bracket_override_same_root():
-    cp = entropy_critical_p(None, "depolarizing", 0, tol=1e-12,
-                            bracket=(0.0, 0.2))
-    assert cp.p_star == pytest.approx(DEP_LEVEL0, abs=1e-10)
 
 
 def test_no_straddle_reports_endpoints():
@@ -96,6 +91,24 @@ def test_monte_carlo_agrees_with_exact(codes):
     assert mc.method == "monte-carlo"
     assert abs(mc.p_star - exact.p_star) < 5.0 * mc.uncertainty
     assert mc.uncertainty < 0.01
+
+
+def test_monte_carlo_reruns_share_no_seeds(codes, monkeypatch):
+    # runs with neighbouring seeds must not reuse each other's streams
+    real = thresholds_module.mc_concatenate
+    seeds = []
+
+    def recording(*args, seed, **kwargs):
+        seeds[-1].append(seed)
+        return real(*args, seed=seed, **kwargs)
+
+    monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
+    for seed in (0, 1):
+        seeds.append([])
+        entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc",
+                           samples=2000, seed=seed)
+    assert len(seeds[0]) > 1 and len(seeds[1]) > 1
+    assert not set(seeds[0]) & set(seeds[1])
 
 
 def test_threshold_series_levels(codes):

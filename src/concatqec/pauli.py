@@ -134,20 +134,15 @@ def _independent(generators: list[PauliString]) -> bool:
     return True
 
 
-def enumerate_group(generators: list[PauliString], n: int | None = None) -> list[PauliString]:
-    """All 2**m products of m commuting, independent generators.
+def enumerate_group(generators: list[PauliString]) -> list[PauliString]:
+    """All 2**m products of m >= 1 commuting, independent generators.
 
     Element ``j`` is the product of the generators selected by the bits of
     ``j`` (lowest generator index first), so the ordering is reproducible.
-    An empty generator list needs an explicit ``n`` for the identity.
     """
     if not generators:
-        if n is None:
-            raise PauliError("empty generator list requires explicit n")
-        return [PauliString.identity(n)]
-    n0 = generators[0].n
-    if n is not None and n != n0:
-        raise PauliError(f"n={n} disagrees with generator length {n0}")
+        raise PauliError("empty generator list")
+    n = generators[0].n
     for i, a in enumerate(generators):
         for b in generators[i + 1:]:
             if eta(a, b) != 1:
@@ -155,7 +150,7 @@ def enumerate_group(generators: list[PauliString], n: int | None = None) -> list
     if not _independent(generators):
         raise PauliError("generators are not independent")
     m = len(generators)
-    elems = [PauliString.identity(n0)] * (1 << m)
+    elems = [PauliString.identity(n)] * (1 << m)
     for j in range(1, 1 << m):
         low = (j & -j).bit_length() - 1
         elems[j] = multiply(elems[j & (j - 1)], generators[low])

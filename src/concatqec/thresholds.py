@@ -4,14 +4,16 @@ Two notions are implemented:
 
 * entropy crossings: the noise parameter at which the level-j conditional
   channel ensemble reaches a target mean Shannon entropy (default 1 bit);
-  computed by bisection on the exact engine, or by stochastic bisection plus
-  a local linear fit on the Monte Carlo engine;
+  computed by a bracketed ITP root search on the exact engine, or by the same
+  search on a three-valued Monte Carlo oracle plus a local linear fit;
 * the unoptimized threshold: the boundary between convergence and
   non-convergence of the iterated syndrome-blind level map.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,40 +89,46 @@ def _exact_entropy(code: StabilizerCode | None, noise: PauliProbVec, level: int,
     return exact_level_entropy(code, child, budget=budget)
 
 
-def _bisect(f, lo: float, hi: float, target: float, tol: float) -> float:
-    """Bracketing root search, Illinois-weighted false position.
+def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
+    """Bracketed root of an increasing f: ITP (Oliveira & Takahashi, 2020).
 
-    Assumes f is increasing across [lo, hi]; keeps the bisection guarantee
-    by falling back to the midpoint whenever the secant step degenerates.
+    Each step moves the regula falsi point of the bracket towards its
+    midpoint by 0.2 (hi - lo)**2 / (initial width), then projects it into a
+    ball around the midpoint that shrinks so the search takes at most one
+    step more than bisection (n0 = 1).  On a sign-valued f (-1, 0, 1) every
+    step is the bisection midpoint.  Returns an endpoint or probe where f
+    equals target, otherwise the interpolated point of the final bracket,
+    which is no wider than ``tol``.
     """
     g_lo, g_hi = f(lo) - target, f(hi) - target
     if not (g_lo <= 0.0 <= g_hi):
         raise NoStraddle(lo, hi, g_lo + target, g_hi + target, target)
-    side = 0
-    step = 0
-    while hi - lo > tol:
+    if g_lo == 0.0:
+        return lo
+    if g_hi == 0.0:
+        return hi
+    kappa1 = 0.2 / (hi - lo)
+    n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
+    for j in range(n_max):
+        width = hi - lo
+        if width <= tol:
+            break
         mid = 0.5 * (lo + hi)
-        # Every third step stays a plain bisection, so the bracket width
-        # halves at least geometrically whatever the secant does.
-        if step % 3 != 2 and g_hi > g_lo:
-            secant = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
-            if lo < secant < hi:
-                mid = secant
-        step += 1
-        g = f(mid) - target
+        falsi = (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
+        sigma = math.copysign(1.0, mid - falsi)
+        delta = kappa1 * width * width
+        x = falsi + sigma * delta if delta <= abs(mid - falsi) else mid
+        radius = math.ldexp(tol, n_max - j - 1) - 0.5 * width
+        if abs(x - mid) > radius:
+            x = mid - sigma * radius
+        g = f(x) - target
         if g > 0.0:
-            hi, g_hi = mid, g
-            if side > 0:
-                g_lo *= 0.5
-            side = 1
+            hi, g_hi = x, g
         elif g < 0.0:
-            lo, g_lo = mid, g
-            if side < 0:
-                g_hi *= 0.5
-            side = -1
+            lo, g_lo = x, g
         else:
-            return mid
-    return 0.5 * (lo + hi)
+            return x
+    return (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
 
 
 def entropy_critical_p(
@@ -140,16 +148,16 @@ def entropy_critical_p(
 
     ``method`` is "exact", "mc", or "auto" (exact, falling back to Monte
     Carlo if the exact enumeration exceeds the budget).  Level 0 measures the
-    raw channel and needs no code.
+    raw channel, needs no code and is exact under every method.
     """
     if method not in ("exact", "mc", "auto"):
         raise ValueError(f"unknown method {method!r}")
     lo, hi = _bracket(family)
     name = code.name if code is not None else None
 
-    if method in ("exact", "auto"):
+    if level == 0 or method in ("exact", "auto"):
         try:
-            p_star = _bisect(
+            p_star = _root(
                 lambda p: _exact_entropy(code, noise_family(family, p), level, budget),
                 lo, hi, target, tol)
             return CriticalPoint(name, family, level, p_star, target, "exact", 0.0)
@@ -157,83 +165,83 @@ def entropy_critical_p(
             if method == "exact":
                 raise
 
-    return _mc_critical_p(code, family, level, target, lo, hi,
+    return _mc_critical_p(code, family, level, target, lo, hi, tol,
                           samples=samples, seed=seed, threads=threads)
 
 
-def _mc_critical_p(code, family, level, target, lo, hi, *,
+def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
                    samples, seed, threads) -> CriticalPoint:
-    """Stochastic bisection with sample escalation, then a local linear fit.
+    """Root search on a three-valued Monte Carlo oracle, then a local linear fit.
 
-    Evaluation k draws with a seed derived from the pair (seed, k), so runs
-    with different seeds share no streams.
+    The oracle escalates the sample count at p up to ``samples`` while the
+    estimate is within three standard errors of target; it returns the sign
+    of entropy - target once it tells p apart from the crossing, and 0 when
+    it cannot, which ends the search at p.  Evaluation k draws with a seed
+    derived from the pair (seed, k), so runs with different seeds share no
+    streams.
     """
     if code is None:
         raise ValueError("the Monte Carlo path requires a code")
-    evals = 0
+    evals = itertools.count()
 
     def measure(p: float, n: int):
-        nonlocal evals
-        eval_seed = int(np.random.SeedSequence((seed, evals)).generate_state(1)[0])
-        est = mc_concatenate(code, noise_family(family, p), level, n,
-                             seed=eval_seed, threads=threads)
-        evals += 1
-        return est
+        eval_seed = np.random.SeedSequence((seed, next(evals))).generate_state(1)[0]
+        return mc_concatenate(code, noise_family(family, p), level, n,
+                              seed=int(eval_seed), threads=threads)
 
-    lo0, hi0 = lo, hi
     n0 = max(500, samples // 16)
-    est_lo, est_hi = measure(lo, n0), measure(hi, n0)
-    if not (est_lo.mean_entropy <= target <= est_hi.mean_entropy):
-        raise NoStraddle(lo, hi, est_lo.mean_entropy, est_hi.mean_entropy, target)
+    estimates = {}
 
-    # Bisect while midpoints are statistically distinguishable from target.
-    center = None
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
+    def side(p: float) -> float:
+        # The endpoints are one n0 draw each and never the crossing: the fit
+        # below needs room on both sides of its center.
+        inside = lo < p < hi
         n = n0
-        est = measure(mid, n)
-        while abs(est.mean_entropy - target) < 3.0 * est.std_error and n < samples:
+        est = measure(p, n)
+        while (inside and abs(est.mean_entropy - target) < 3.0 * est.std_error
+               and n < samples):
             n = min(4 * n, samples)
-            est = measure(mid, n)
-        if abs(est.mean_entropy - target) < 3.0 * est.std_error:
-            # statistically at the crossing already: fit around this point
-            center, sigma_e = mid, est.std_error
-            break
-        if est.mean_entropy < target:
-            lo = mid
-        else:
-            hi = mid
-    if center is None:
-        center = 0.5 * (lo + hi)
-        sigma_e = measure(center, samples).std_error
+            est = measure(p, n)
+        estimates[p] = est
+        if inside and abs(est.mean_entropy - target) < 3.0 * est.std_error:
+            return 0.0
+        return float(np.sign(est.mean_entropy - target))
+
+    try:
+        center = _root(side, lo, hi, 0.0, tol)
+    except NoStraddle:
+        raise NoStraddle(lo, hi, estimates[lo].mean_entropy,
+                         estimates[hi].mean_entropy, target) from None
+    if center in (lo, hi):  # an endpoint measured exactly at target
+        return CriticalPoint(code.name, family, level, center, target,
+                             "monte-carlo", 0.0)
+    # a fresh draw when the bracket closed below tol before any zero
+    sigma_e = (estimates.get(center) or measure(center, samples)).std_error
 
     # Local linear fit of entropy against p.  A pilot slope sets the window:
     # wide enough that the points resolve the crossing against sampling
-    # noise, narrow enough that curvature cannot bias the linear model (the
-    # bracket itself can still be wide when the bisection stopped early).
-    delta = min(max(0.02 * center, 1e-6), 0.5 * center, 0.5 * (hi0 - center))
+    # noise, narrow enough that curvature cannot bias the linear model.
+    delta = min(max(0.02 * center, 1e-6), 0.5 * center, 0.5 * (hi - center))
     pilot_lo = measure(center - delta, samples)
     pilot_hi = measure(center + delta, samples)
     slope0 = (pilot_hi.mean_entropy - pilot_lo.mean_entropy) / (2.0 * delta)
     if np.isfinite(slope0) and slope0 > 0.0:
         span = max(4.0 * sigma_e / slope0, 1e-4 * center)
     else:
-        span = max(hi - lo, 1e-3 * center)
-    span = min(span, 0.99 * center, hi0 - center)
+        span = max(2.0 * delta, 1e-3 * center)
+    span = min(span, 0.99 * center, hi - center)
     ps = np.linspace(center - span, center + span, 5)
-    means = np.empty(5)
-    errs = np.empty(5)
-    for k, p in enumerate(ps):
-        est = measure(float(p), samples)
-        means[k], errs[k] = est.mean_entropy, est.std_error
+    fit = [measure(float(p), samples) for p in ps]
+    means = np.array([est.mean_entropy for est in fit])
+    errs = np.array([est.std_error for est in fit])
     w = 1.0 / errs ** 2
     a = np.vstack([ps - center, np.ones_like(ps)]).T
     cov = np.linalg.inv(a.T @ (w[:, None] * a))
     slope, offset = cov @ a.T @ (w * means)
-    var = cov @ a.T @ np.diag(w * w * errs ** 2) @ a @ cov
     p_star = center + (target - offset) / slope
-    sigma = float(np.sqrt(
-        var[1, 1] + ((target - offset) / slope) ** 2 * var[0, 0]) / abs(slope))
+    # delta method: gradient of p_star in (slope, offset)
+    grad = np.array([-(target - offset) / slope ** 2, -1.0 / slope])
+    sigma = float(np.sqrt(grad @ cov @ grad))
     return CriticalPoint(code.name, family, level, float(p_star), target,
                          "monte-carlo", sigma)
 
@@ -266,18 +274,11 @@ def unoptimized_threshold(
             prev = cur
         return False
 
-    if not converges(lo):
-        raise NoStraddle(lo, hi, float("nan"), float("nan"), 0.0)
-    if converges(hi):
-        raise NoStraddle(lo, hi, float("nan"), float("nan"), 0.0)
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if converges(mid):
-            lo = mid
-        else:
-            hi = mid
-    return CriticalPoint(code.name, family, -1, 0.5 * (lo + hi), 0.0,
-                         "unoptimized", 0.0)
+    try:
+        p_star = _root(lambda p: -1.0 if converges(p) else 1.0, lo, hi, 0.0, tol)
+    except NoStraddle:  # the flags are not entropies; report none
+        raise NoStraddle(lo, hi, float("nan"), float("nan"), 0.0) from None
+    return CriticalPoint(code.name, family, -1, p_star, 0.0, "unoptimized", 0.0)
 
 
 def threshold_series(

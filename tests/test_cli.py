@@ -77,6 +77,20 @@ def test_threshold_series_rows(capsys):
     assert all(r["method"] == "exact" for r in rows)
 
 
+@pytest.mark.parametrize("args", [
+    ("--code", "rep3", "--levels", "2", "--samples", "2000"),
+    ("--levels", "0",),
+])
+def test_threshold_level0_exact_under_mc(capsys, args):
+    code, out, _ = run(capsys, "threshold", "--family", "depolarizing",
+                       "--method", "mc", *args)
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    assert [r["method"] for r in rows] == (
+        ["exact"] + ["monte-carlo"] * (len(rows) - 1))
+    assert float(rows[0]["p_star"]) == pytest.approx(DEP_LEVEL0, abs=1e-10)
+
+
 def test_threshold_unoptimized(capsys):
     code, out, _ = run(capsys, "threshold", "--code", "five-qubit",
                        "--family", "depolarizing", "--unoptimized",

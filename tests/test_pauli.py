@@ -87,7 +87,8 @@ def test_enumerate_group_small():
 
 
 def test_enumerate_group_empty():
-    assert [g.letters() for g in enumerate_group([], n=2)] == ["II"]
+    with pytest.raises(PauliError, match="empty generator list"):
+        enumerate_group([])
 
 
 def test_enumerate_group_closed_and_duplicate_free(codes):

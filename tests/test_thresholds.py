@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,11 +7,15 @@ from concatqec import (
     BudgetExceeded,
     CriticalPoint,
     NoStraddle,
+    PauliProbVec,
+    blind_map,
     entropy_critical_p,
+    noise_family,
     threshold_series,
     unoptimized_threshold,
 )
 from concatqec import thresholds as thresholds_module
+from concatqec.channels import HAD4
 
 # roots of H(noise(p)) = 1 bit, frozen from an independent extended-precision
 # bisection of the closed-form channel entropies
@@ -145,3 +151,122 @@ def test_unoptimized_threshold_bitflip2_degenerate(codes):
     # the iteration never contracts and the threshold collapses to zero
     cp = unoptimized_threshold(codes["bitflip2"], "indep-flips", tol=1e-10)
     assert cp.p_star < 1e-8
+
+
+def _recording(f):
+    probes = []
+
+    def wrapped(p):
+        probes.append(p)
+        return f(p)
+
+    return wrapped, probes
+
+
+def _plain_bisection(f, lo, hi, tol):
+    """Midpoint bisection of a predicate-valued f (< 0 below the root)."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if f(mid) < 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def test_root_of_sign_step_is_plain_bisection():
+    root = 0.0631
+    step = lambda p: -1.0 if p < root else 1.0
+    f, probes = _recording(step)
+    g, expected = _recording(step)
+    p = thresholds_module._root(f, 0.0, 1.0 / 3.0, 0.0, 1e-10)
+    assert p == _plain_bisection(g, 0.0, 1.0 / 3.0, 1e-10)
+    assert probes[2:] == expected
+    assert abs(p - root) <= 1e-10
+
+
+def test_root_returns_interpolated_point_of_final_bracket():
+    # on a straight line the interpolated point is the root itself, while
+    # the final bracket's midpoint can sit up to tol / 2 away
+    p = thresholds_module._root(lambda p: 3.0 * p, 0.0, 1.0 / 3.0, 0.3, 1e-3)
+    assert p == pytest.approx(0.1, abs=1e-15)
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-20])
+@pytest.mark.parametrize("shape", ["sign", "lopsided", "flat-then-steep"])
+def test_root_interior_evaluations_bounded(shape, tol):
+    lo, hi, root = 0.0, 1.0 / 3.0, 0.0631
+    f = {
+        "sign": lambda p: -1.0 if p < root else 1.0,
+        # regula falsi alone would crawl in from the low side
+        "lopsided": lambda p: -1e-9 if p < root else 1.0,
+        "flat-then-steep": lambda p: (p / root) ** 60 - 1.0,
+    }[shape]
+    f, probes = _recording(f)
+    p = thresholds_module._root(f, lo, hi, 0.0, tol)
+    assert len(probes) - 2 <= math.ceil(math.log2((hi - lo) / tol)) + 1
+    assert abs(p - root) <= tol + 2 * math.ulp(root)
+
+
+def test_unoptimized_threshold_is_plain_bisection(codes):
+    code = codes["five-qubit"]
+
+    def converges(p):
+        prev = noise_family("depolarizing", p).as_array()
+        for _ in range(20_000):
+            if (HAD4 @ prev)[1:].min() > 1.0 - 1e-9:
+                return True
+            cur = blind_map(code, PauliProbVec.from_array(prev)).as_array()
+            cur /= cur.sum()
+            if np.abs(cur - prev).max() < 1e-14:
+                return False
+            prev = cur
+        return False
+
+    expected = _plain_bisection(lambda p: -1.0 if converges(p) else 1.0,
+                                0.0, 1.0 / 3.0, 1e-8)
+    cp = unoptimized_threshold(code, "depolarizing", tol=1e-8)
+    assert cp.p_star == expected
+
+
+@pytest.mark.parametrize("name", ["five-qubit", "steane"])
+def test_exact_search_evaluation_count(codes, monkeypatch, name):
+    real = thresholds_module._exact_entropy
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(thresholds_module, "_exact_entropy", counting)
+    entropy_critical_p(codes[name], "depolarizing", 1)
+    assert len(calls) <= 12
+
+
+def test_monte_carlo_no_straddle_reports_measured_entropies(codes):
+    with pytest.raises(NoStraddle) as info:
+        entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc",
+                           samples=2000, target=2.0)
+    err = info.value
+    assert err.target == 2.0
+    assert "no crossing of target 2.0 bits" in str(err)
+    assert err.e_lo == 0.0
+    assert err.e_hi == pytest.approx(1.751, abs=0.01)
+
+
+def test_monte_carlo_fit_window_without_pilot_slope(codes):
+    # seed 0 draws a pilot pair with no positive slope; a fit across the
+    # whole final bracket used to land 13 sigma off the exact crossing
+    code = codes["rep3"]
+    exact = entropy_critical_p(code, "depolarizing", 1)
+    mc = entropy_critical_p(code, "depolarizing", 1, method="mc",
+                            samples=2000, seed=0)
+    assert abs(mc.p_star - exact.p_star) <= 5.0 * mc.uncertainty
+
+
+def test_monte_carlo_endpoint_at_target(codes):
+    # the noiseless channel has entropy exactly 0, so target 0 is met at p = 0
+    cp = entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc",
+                            samples=500, target=0.0)
+    assert cp.p_star == 0.0
+    assert cp.method == "monte-carlo"

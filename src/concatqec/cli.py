@@ -248,7 +248,7 @@ def _plan(cell: ReferenceCell, config: RunConfig) -> tuple[str, str]:
     """Method and a runtime note for one reference cell."""
     if cell.level == -1:
         return "unoptimized", "iterated map bisection, seconds"
-    if cell.level <= 2:
+    if cell.exact:
         return "exact", "exact enumeration, seconds"
     return "auto", (f"~{config.samples} samples x {cell.level} levels; "
                     "exact when within budget")
@@ -274,8 +274,7 @@ def _run_cell(cell: ReferenceCell, config: RunConfig) -> dict:
         cp = unoptimized_threshold(code, cell.family, tol=config.tol)
     else:
         cp = entropy_critical_p(
-            code, cell.family, cell.level, tol=config.tol,
-            method="exact" if cell.exact else "auto",
+            code, cell.family, cell.level, tol=config.tol, method=method,
             samples=config.samples, seed=config.seed, threads=config.threads)
     row["method"] = cp.method
     row["computed"] = cp.p_star

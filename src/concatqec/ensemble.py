@@ -16,13 +16,14 @@ Deduplicating the entries of each child ensemble first is what keeps exact
 level-2 enumeration tractable.  Each entry is canonicalized by applying its
 optimal logical recovery (the class of maximal probability moved to the
 identity slot) before deduplication; entropy is unaffected and deduplication
-improves.
+improves.  Deduplication sums the rows in each cell of a DEDUP_TOL grid, drops
+entries below PRUNE_FLOOR, and then merges the entries within DEDUP_TOL in
+max-norm, which catches the pairs a grid boundary split.
 """
 
 from __future__ import annotations
 
 import functools
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,8 +45,6 @@ __all__ = [
     "concatenate_exact",
     "ensemble_entropy",
 ]
-
-_log = logging.getLogger("concatqec")
 
 DEDUP_TOL = 1e-10
 PRUNE_FLOOR = 1e-15
@@ -140,49 +139,54 @@ def _optimize_rows(rows: np.ndarray) -> np.ndarray:
     return rows[np.arange(rows.shape[0])[:, None], KLEIN[sigma]]
 
 
-def _merge_close(weights: np.ndarray, channels: np.ndarray, tol: float):
-    """Merge channel rows within tol in max-norm (weighted mean channel).
+def _merge_close(weights: np.ndarray, channels: np.ndarray):
+    """Merge channel rows within DEDUP_TOL in max-norm (weighted mean channel).
 
-    Scans rows by decreasing weight so smaller entries merge into larger.
+    Rows are taken by decreasing weight, and each merges into the first kept
+    row within DEDUP_TOL.  Such rows are also within DEDUP_TOL in column 0, so
+    only rows that close in column-0 order are compared.
     """
+    n = weights.size
     order = np.argsort(-weights, kind="stable")
-    kept_rows = np.empty_like(channels)
-    target = np.empty(weights.size, dtype=np.int64)
-    kept = 0
-    for i in order:
-        hits = np.flatnonzero(
-            np.abs(kept_rows[:kept] - channels[i]).max(axis=1) < tol)
-        if hits.size:
-            target[i] = hits[0]
-            continue
-        target[i] = kept
-        kept_rows[kept] = channels[i]
-        kept += 1
-    out_w = np.zeros(kept)
-    out_c = np.zeros((kept, 4))
-    np.add.at(out_w, target, weights)
-    np.add.at(out_c, target, weights[:, None] * channels)
-    out_c /= out_w[:, None]
-    return out_w, out_c
+    rows = channels[order]
+    by_c0 = np.argsort(rows[:, 0])
+    c0 = rows[by_c0, 0]
+    pairs, k, d = [], np.arange(n), 1
+    while k.size:
+        k = k[k + d < n]
+        k = k[c0[k + d] - c0[k] < DEDUP_TOL]
+        a, b = by_c0[k], by_c0[k + d]
+        close = np.abs(rows[a] - rows[b]).max(axis=1) < DEDUP_TOL
+        pairs.append(np.sort(np.column_stack([a[close], b[close]]), axis=1))
+        d += 1
+    pairs = np.concatenate(pairs)
+    # Rows are numbered by rank, and row r is kept while target[r] == r.  Each
+    # pair (earlier, later) is taken after every pair whose later row is earlier.
+    target = np.arange(n)
+    for e, r in pairs[np.argsort(pairs[:, 1])]:
+        if target[e] == e and e < target[r]:
+            target[r] = e
+    slot = np.cumsum(target == np.arange(n)) - 1  # output row of each kept row
+    target = slot[target][np.argsort(order)]  # numbered by input row again
+    out_w = np.bincount(target, weights)
+    wc = weights[:, None] * channels
+    out_c = np.column_stack([np.bincount(target, col) for col in wc.T])
+    return out_w, out_c / out_w[:, None]
 
 
 class _Accumulator:
-    """Streaming dedup of (weight, channel) rows on a quantization grid."""
+    """Streaming dedup of (weight, channel) rows on a DEDUP_TOL grid."""
 
     #: Buffered rows are compacted once they exceed this count.
     _COMPACT_AT = 1 << 21
 
-    #: finish() skips the pairwise boundary merge above this survivor count.
-    _MERGE_CAP = 4096
-
-    def __init__(self, tol: float):
-        self.tol = tol
+    def __init__(self):
         self._keys: list[np.ndarray] = [np.empty((0, 4), dtype=np.int64)]
         self._wc: list[np.ndarray] = [np.empty((0, 5))]
         self._pending = 0
 
     def add(self, weights: np.ndarray, rows: np.ndarray):
-        self._keys.append(np.round(rows / self.tol).astype(np.int64))
+        self._keys.append(np.round(rows / DEDUP_TOL).astype(np.int64))
         self._wc.append(np.column_stack([weights, weights[:, None] * rows]))
         self._pending += weights.size
         if self._pending >= self._COMPACT_AT:
@@ -198,21 +202,14 @@ class _Accumulator:
                                     minlength=uniq.shape[0])
         self._keys, self._wc, self._pending = [uniq], [out], uniq.shape[0]
 
-    def finish(self, prune_floor: float) -> tuple[np.ndarray, np.ndarray]:
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
         self._compact()
         wc = self._wc[0]
-        keep = wc[:, 0] >= prune_floor
-        if not np.any(keep):
-            raise ChannelError("all ensemble mass pruned; lower the prune floor")
+        # The weights sum to 1, so the largest survives PRUNE_FLOOR.
+        keep = wc[:, 0] >= PRUNE_FLOOR
         w = wc[keep, 0]
         c = wc[keep, 1:] / w[:, None]
-        # Second pass with the true tolerance catches grid-boundary splits.
-        if w.size <= self._MERGE_CAP:
-            w, c = _merge_close(w, c, self.tol)
-        else:
-            _log.warning("%d entries survive dedup, over the merge cap of %d; entries "
-                         "within %g across a grid boundary stay unmerged",
-                         w.size, self._MERGE_CAP, self.tol)
+        w, c = _merge_close(w, c)
         # Pruned mass is redistributed by renormalizing the kept weights.
         w /= w.sum()
         c /= c.sum(axis=1, keepdims=True)
@@ -307,7 +304,6 @@ def exact_level(
     child: ChannelEnsemble,
     *,
     budget: int = DEFAULT_BUDGET,
-    prune_floor: float = PRUNE_FLOOR,
 ) -> ChannelEnsemble:
     """One exact concatenation level, every slot drawing from ``child``.
 
@@ -316,13 +312,13 @@ def exact_level(
     more than ``budget`` ordered assignments, however many orbits they fall
     into.
     """
-    acc = _Accumulator(DEDUP_TOL)
+    acc = _Accumulator()
     for assign_w, syn_w, rows in _level_chunks(code, child, budget):
         flat_w = (assign_w[:, None] * syn_w).reshape(-1)
         keep = flat_w > 0.0
         acc.add(flat_w[keep], _optimize_rows(rows.reshape(-1, 4)[keep]))
 
-    weights, channels = acc.finish(prune_floor)
+    weights, channels = acc.finish()
     return ChannelEnsemble(weights, channels)
 
 
@@ -351,7 +347,6 @@ def concatenate_exact(
     levels: int,
     *,
     budget: int = DEFAULT_BUDGET,
-    prune_floor: float = PRUNE_FLOOR,
 ) -> ChannelEnsemble:
     """Ensemble after the given number of exact concatenation levels.
 
@@ -361,7 +356,7 @@ def concatenate_exact(
         raise ChannelError("levels must be >= 0")
     ens = ChannelEnsemble.singleton(noise)
     for _ in range(levels):
-        ens = exact_level(code, ens, budget=budget, prune_floor=prune_floor)
+        ens = exact_level(code, ens, budget=budget)
     return ens
 
 

@@ -173,7 +173,8 @@ def mc_concatenate(
 
     ent = np.concatenate([r[0] for r in results])
     inf = np.concatenate([r[1] for r in results])
-    se = float(ent.std(ddof=1) / np.sqrt(samples)) if samples > 1 else float("inf")
+    spread = ent.std(ddof=1) if np.ptp(ent) > 0.0 else 0.0  # equal entropies: 0, not round-off
+    se = float(spread / np.sqrt(samples)) if samples > 1 else float("inf")
     return MCEstimate(
         mean_entropy=float(ent.mean()),
         std_error=se,

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HAD4, NOISE_FAMILIES, PauliProbVec, entropy, noise_family
+from .channels import HAD4, NOISE_FAMILIES, ChannelError, PauliProbVec, entropy, noise_family
 from .codes import StabilizerCode
 from .ensemble import (
     BudgetExceeded,
@@ -178,7 +178,8 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     of entropy - target once it tells p apart from the crossing, and 0 when
     it cannot, which ends the search at p.  Evaluation k draws with a seed
     derived from the pair (seed, k), so runs with different seeds share no
-    streams.
+    streams.  No draw takes more than ``samples``; a fit point without a
+    finite, nonzero standard error raises ChannelError.
     """
     if code is None:
         raise ValueError("the Monte Carlo path requires a code")
@@ -189,7 +190,7 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
         return mc_concatenate(code, noise_family(family, p), level, n,
                               seed=int(eval_seed), threads=threads)
 
-    n0 = max(500, samples // 16)
+    n0 = min(max(500, samples // 16), samples)
     estimates = {}
 
     def side(p: float) -> float:
@@ -234,6 +235,9 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     fit = [measure(float(p), samples) for p in ps]
     means = np.array([est.mean_entropy for est in fit])
     errs = np.array([est.std_error for est in fit])
+    if not np.all((errs > 0.0) & (errs < np.inf)):
+        raise ChannelError(f"the Monte Carlo fit near p = {center:.6g} needs a finite, "
+                           f"nonzero standard error at every point, not {errs.tolist()}")
     w = 1.0 / errs ** 2
     a = np.vstack([ps - center, np.ones_like(ps)]).T
     cov = np.linalg.inv(a.T @ (w[:, None] * a))

@@ -91,6 +91,19 @@ def test_threshold_level0_exact_under_mc(capsys, args):
     assert float(rows[0]["p_star"]) == pytest.approx(DEP_LEVEL0, abs=1e-10)
 
 
+@pytest.mark.parametrize("samples", ["1", "2", "3"])
+def test_degenerate_monte_carlo_fit_exits_1(capsys, samples):
+    # one sample has an infinite standard error; two or three equal
+    # entropies have a zero one, not a round-off one
+    code, out, err = run(capsys, "threshold", "--code", "rep3", "--family",
+                         "depolarizing", "--levels", "1", "--method", "mc",
+                         "--samples", samples)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: the Monte Carlo fit near p = ")
+    assert err.count("\n") == 1
+
+
 def test_threshold_unoptimized(capsys):
     code, out, _ = run(capsys, "threshold", "--code", "five-qubit",
                        "--family", "depolarizing", "--unoptimized",
@@ -235,3 +248,14 @@ def test_reproduce_tables_dry_run_with_mc(capsys):
     _, _, rows = parse_csv(out)
     assert len(rows) > 16
     assert any(r["method"] == "auto" for r in rows)
+
+
+def test_reproduce_tables_dry_run_plans_exact_level3_cell(capsys):
+    # the five-qubit depolarizing level-3 cell is quoted exact and runs exact
+    code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--with-mc")
+    assert code == 0
+    _, _, rows = parse_csv(out)
+    row, = [r for r in rows if (r["code"], r["family"], r["level"])
+            == ("five-qubit", "depolarizing", "3")]
+    assert row["method"] == "exact"
+    assert row["note"] == "exact enumeration, seconds"

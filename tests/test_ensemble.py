@@ -1,5 +1,4 @@
 import itertools
-import logging
 
 import numpy as np
 import pytest
@@ -214,12 +213,6 @@ def test_budget_exceeded(codes):
         exact_level_entropy(code, base, budget=1)
 
 
-def test_prune_floor_cannot_eat_everything(codes):
-    with pytest.raises(ChannelError):
-        exact_level(codes["bitflip2"], ChannelEnsemble.singleton(bit_flip(0.5)),
-                    prune_floor=2.0)
-
-
 # ------------------------------------------------------------- concatenation
 
 def test_concatenate_exact_level_zero_is_singleton(codes):
@@ -266,18 +259,58 @@ def test_steane_depolarizing_level1_near_ties_collapse(codes, p):
     assert ensemble_entropy(ens) == pytest.approx(streamed, abs=1e-12)
 
 
-@pytest.mark.parametrize("family,p,skipped", [("depolarizing", 0.063, True),
-                                               ("indep-flips", 0.1095, False)])
-def test_skipped_boundary_merge_is_reported(codes, caplog, family, p, skipped):
-    with caplog.at_level(logging.WARNING, logger="concatqec"):
-        ens = concatenate_exact(codes["steane"], noise_family(family, p), 2)
-    warnings = [r.getMessage() for r in caplog.records if r.name == "concatqec"]
-    assert (ens.size > _Accumulator._MERGE_CAP) == skipped
-    if skipped:
-        assert len(warnings) == 1
-        assert f"{ens.size} entries" in warnings[0] and f"{DEDUP_TOL:g}" in warnings[0]
-    else:
-        assert warnings == []
+def greedy_merge(weights, channels, tol):
+    """Quadratic greedy scan, the oracle of ensemble._merge_close."""
+    order = np.argsort(-weights, kind="stable")
+    kept_rows = np.empty_like(channels)
+    target = np.empty(weights.size, dtype=np.int64)
+    kept = 0
+    for i in order:
+        hits = np.flatnonzero(
+            np.abs(kept_rows[:kept] - channels[i]).max(axis=1) < tol)
+        if hits.size:
+            target[i] = hits[0]
+            continue
+        target[i] = kept
+        kept_rows[kept] = channels[i]
+        kept += 1
+    out_w = np.zeros(kept)
+    out_c = np.zeros((kept, 4))
+    np.add.at(out_w, target, weights)
+    np.add.at(out_c, target, weights[:, None] * channels)
+    out_c /= out_w[:, None]
+    return out_w, out_c
+
+
+def test_merge_close_matches_greedy_scan():
+    # clusters jittered by up to 1.5 tol, so chains of rows within tol of
+    # each other straddle cluster members; odd seeds tie the weights
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        centers = rng.dirichlet(np.ones(4), size=rng.integers(1, 6))
+        m = int(rng.integers(1, 60))
+        channels = (centers[rng.integers(0, len(centers), m)]
+                    + rng.uniform(-1.5 * DEDUP_TOL, 1.5 * DEDUP_TOL, (m, 4)))
+        weights = rng.choice([0.1, 0.2, 0.3], m) if seed % 2 else rng.random(m)
+        got = ensemble_module._merge_close(weights, channels)
+        want = greedy_merge(weights, channels, DEDUP_TOL)
+        assert np.array_equal(got[0], want[0]), seed
+        assert np.array_equal(got[1], want[1]), seed
+
+
+def test_accumulator_merges_grid_boundary_splits_of_many_rows():
+    # 5000 channels 1000 tol apart, each with a copy 0.02 tol away on the
+    # other side of a grid boundary of column 0
+    x = (np.round(0.3 / DEDUP_TOL) + 1000 * np.arange(5000) + 0.49) * DEDUP_TOL
+    x = np.concatenate([x, x + 0.02 * DEDUP_TOL])
+    rows = np.column_stack([x, 1.0 - x, np.zeros_like(x), np.zeros_like(x)])
+    acc = _Accumulator()
+    acc.add(np.full(x.size, 1.0 / x.size), rows)
+    weights, channels = acc.finish()
+    assert weights.size == 5000
+    assert np.allclose(weights, 2.0 / x.size, rtol=0.0, atol=1e-15)
+    assert np.allclose(channels[:, 0], x[:5000] + 0.01 * DEDUP_TOL,
+                       rtol=0.0, atol=1e-15)
 
 
 # ------------------------------------------------------- orbit enumeration
@@ -337,10 +370,12 @@ def test_random_code_orbit_paths_match_ordered_enumeration(random_codes):
     for code in random_codes:
         for size in range(1, 4):
             child = random_ensemble(rng, size)
+            streamed = exact_level_entropy(code, child)
             want = ordered(exact_level_entropy, code, child)
-            assert exact_level_entropy(code, child) == pytest.approx(want, abs=1e-12)
+            assert streamed == pytest.approx(want, abs=1e-12)
             got, want = exact_level(code, child), ordered(exact_level, code, child)
             assert got.size == want.size, (code.name, size)
+            assert ensemble_entropy(got) == pytest.approx(streamed, abs=1e-12)
             assert ensemble_entropy(got) == pytest.approx(ensemble_entropy(want), abs=1e-12)
             assert np.allclose(got.average_channel().as_array(),
                                want.average_channel().as_array(), rtol=0.0, atol=1e-12)

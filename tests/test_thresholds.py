@@ -270,3 +270,16 @@ def test_monte_carlo_endpoint_at_target(codes):
                             samples=500, target=0.0)
     assert cp.p_star == 0.0
     assert cp.method == "monte-carlo"
+
+
+def test_monte_carlo_search_draws_at_most_samples(codes, monkeypatch):
+    real = thresholds_module.mc_concatenate
+    counts = []
+
+    def recording(code, noise, level, samples, **kwargs):
+        counts.append(samples)
+        return real(code, noise, level, samples, **kwargs)
+
+    monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
+    entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc", samples=100)
+    assert counts and max(counts) == 100

@@ -15,8 +15,9 @@ from concatqec import (
     general_map_oracle,
 )
 from concatqec.codes import get_code
-from concatqec.levelmap import BlockNoise
+from concatqec.levelmap import BlockNoise, _coset_map_batch
 from concatqec.channels import HAD4
+from conftest import random_code
 
 raw4 = st.lists(st.floats(1e-4, 1.0), min_size=4, max_size=4)
 
@@ -73,6 +74,37 @@ def test_random_code_enumeration_oracle_agreement(random_codes):
         fast = coset_map_probs(code, noise)
         slow = coset_map_enumerate(code, noise)
         assert np.abs(fast - slow).max() < 1e-10, code.name
+
+
+def _kernel_blocks(n, rng, k=16):
+    """k per-qubit noise blocks: random ones, then three edge cases."""
+    probs = rng.uniform(0.01, 1.0, size=(k, n, 4))
+    probs[-3] = [0.4, 0.6, 0.0, 0.0]  # negative superoperator diagonals
+    probs[-2] = [1.0, 0.0, 0.0, 0.0]  # identity: every syndrome but 0 has weight 0
+    probs[-1, ::2] = [1.0, 0.0, 0.0, 0.0]
+    probs[-1, 1::2] = [0.4, 0.6, 0.0, 0.0]
+    return probs / probs.sum(axis=-1, keepdims=True)
+
+
+def _assert_batch_matches_enumeration(code, probs):
+    got = _coset_map_batch(code, probs @ HAD4.T)
+    assert got.shape == (len(probs), code.n_syndromes, 4)
+    for block, rows in zip(probs, got):
+        want = coset_map_enumerate(code, [PauliProbVec.from_array(q) for q in block])
+        assert np.abs(rows - want).max() < 1e-12, code.name
+
+
+@pytest.mark.parametrize("name", ["bitflip2", "rep3", "five-qubit", "steane"])
+def test_batch_kernel_matches_enumeration(codes, name):
+    code = codes[name]
+    _assert_batch_matches_enumeration(code, _kernel_blocks(code.n, np.random.default_rng(29)))
+
+
+def test_random_code_batch_kernel_matches_enumeration(random_codes):
+    # random_code(8, 0) has a 4 x 128 x 128 transform, past the bundled sizes
+    rng = np.random.default_rng(31)
+    for code in [*random_codes, random_code(8, 0)]:
+        _assert_batch_matches_enumeration(code, _kernel_blocks(code.n, rng))
 
 
 def test_bitflip2_syndrome_channels_closed_form(codes):
@@ -136,6 +168,11 @@ def test_blind_map_identity_fixed_point(codes):
     for code in codes.values():
         ident = PauliProbVec.from_array([1, 0, 0, 0])
         assert np.allclose(blind_map(code, ident).as_array(), [1, 0, 0, 0])
+
+
+def test_blind_map_rejects_unnormalized_input(codes):
+    with pytest.raises(ChannelError):
+        blind_map(codes["five-qubit"], PauliProbVec.from_array([0.5, 0.1, 0.1, 0.1]))
 
 
 def test_blind_map_preserves_depolarizing_symmetry(codes):

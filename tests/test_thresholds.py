@@ -9,13 +9,16 @@ from concatqec import (
     NoStraddle,
     PauliProbVec,
     blind_map,
+    concatenate_exact,
     entropy_critical_p,
+    exact_level_entropy,
     noise_family,
     threshold_series,
     unoptimized_threshold,
 )
 from concatqec import thresholds as thresholds_module
 from concatqec.channels import HAD4
+from concatqec.reference import EXACT_RTOL, REFERENCE_TABLES
 
 # roots of H(noise(p)) = 1 bit, frozen from an independent extended-precision
 # bisection of the closed-form channel entropies
@@ -241,6 +244,21 @@ def test_exact_search_evaluation_count(codes, monkeypatch, name):
     monkeypatch.setattr(thresholds_module, "_exact_entropy", counting)
     entropy_critical_p(codes[name], "depolarizing", 1)
     assert len(calls) <= 12
+
+
+def test_five_qubit_depolarizing_level3_cell_brackets_quoted_value(codes):
+    # dH/dp is about 60 bits per unit p here, so p*(1 -/+ EXACT_RTOL) sit
+    # about 4e-8 bits below and above the target
+    cell = next(c for c in REFERENCE_TABLES
+                if (c.code, c.family, c.level) == ("five-qubit", "depolarizing", 3))
+    code = codes["five-qubit"]
+
+    def level3(p):
+        child = concatenate_exact(code, noise_family("depolarizing", p), 2)
+        return exact_level_entropy(code, child)
+
+    assert level3(cell.p_star * (1 - EXACT_RTOL)) < 1.0
+    assert level3(cell.p_star * (1 + EXACT_RTOL)) > 1.0
 
 
 def test_monte_carlo_no_straddle_reports_measured_entropies(codes):

@@ -97,9 +97,10 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     midpoint by 0.2 (hi - lo)**2 / (initial width), then projects it into a
     ball around the midpoint that shrinks so the search takes at most one
     step more than bisection (n0 = 1).  On a sign-valued f (-1, 0, 1) every
-    step is the bisection midpoint.  Returns an endpoint or probe where f
-    equals target, otherwise the interpolated point of the final bracket,
-    which is no wider than ``tol``.
+    step is the bisection midpoint.  Returns an endpoint where f equals
+    target, or the first probe within round-off of it (64 eps max(1,
+    |target|)), otherwise the interpolated point of the final bracket, which
+    is no wider than ``tol``.
     """
     g_lo, g_hi = f(lo) - target, f(hi) - target
     if not (g_lo <= 0.0 <= g_hi):
@@ -109,6 +110,7 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     if g_hi == 0.0:
         return hi
     kappa1 = 0.2 / (hi - lo)
+    round_off = 64.0 * np.finfo(float).eps * max(1.0, abs(target))
     n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
     for j in range(n_max):
         width = hi - lo
@@ -123,9 +125,9 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
         if abs(x - mid) > radius:
             x = mid - sigma * radius
         g = f(x) - target
-        if g > 0.0:
+        if g > round_off:
             hi, g_hi = x, g
-        elif g < 0.0:
+        elif g < -round_off:
             lo, g_lo = x, g
         else:
             return x
@@ -179,8 +181,12 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     of entropy - target once it tells p apart from the crossing, and 0 when
     it cannot, which ends the search at p.  Evaluation k draws with a seed
     derived from the pair (seed, k), so runs with different seeds share no
-    streams.  No draw takes more than ``samples``; a fit point without a
-    finite, nonzero standard error raises ChannelError.
+    streams.  No draw takes more than ``samples``.  The search's final bracket
+    sets the fit window: its secant slope, positive by construction, turns 6
+    standard errors of the entropy at the center into a half-width.  Five
+    points across the window are fitted by ordinary least squares, the
+    covariance scaled by the pooled variance mean(se_i**2); a point without
+    a finite, nonzero standard error raises ChannelError.
     """
     if code is None:
         raise ValueError("the Monte Carlo path requires a code")
@@ -220,18 +226,12 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     # a fresh draw when the bracket closed below tol before any zero
     sigma_e = (estimates.get(center) or measure(center, samples)).std_error
 
-    # Local linear fit of entropy against p.  A pilot slope sets the window:
-    # wide enough that the points resolve the crossing against sampling
-    # noise, narrow enough that curvature cannot bias the linear model.
-    delta = min(max(0.02 * center, 1e-6), 0.5 * center, 0.5 * (hi - center))
-    pilot_lo = measure(center - delta, samples)
-    pilot_hi = measure(center + delta, samples)
-    slope0 = (pilot_hi.mean_entropy - pilot_lo.mean_entropy) / (2.0 * delta)
-    if np.isfinite(slope0) and slope0 > 0.0:
-        span = max(4.0 * sigma_e / slope0, 1e-4 * center)
-    else:
-        span = max(2.0 * delta, 1e-3 * center)
-    span = min(span, 0.99 * center, hi - center)
+    # the nearest probes on each side are the final bracket, of definite sign
+    below = max(p for p in estimates if p < center)
+    above = min(p for p in estimates if p > center)
+    rise = estimates[above].mean_entropy - estimates[below].mean_entropy
+    span = min(max(6.0 * sigma_e * (above - below) / rise, 1e-4 * center),
+               0.99 * center, hi - center)
     ps = np.linspace(center - span, center + span, 5)
     fit = [measure(float(p), samples) for p in ps]
     means = np.array([est.mean_entropy for est in fit])
@@ -239,10 +239,8 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     if not np.all((errs > 0.0) & (errs < np.inf)):
         raise ChannelError(f"the Monte Carlo fit near p = {center:.6g} needs a finite, "
                            f"nonzero standard error at every point, not {errs.tolist()}")
-    w = 1.0 / errs ** 2
-    a = np.vstack([ps - center, np.ones_like(ps)]).T
-    cov = np.linalg.inv(a.T @ (w[:, None] * a))
-    slope, offset = cov @ a.T @ (w * means)
+    (slope, offset), cov = np.polyfit(ps - center, means, 1, cov="unscaled")
+    cov *= np.mean(errs ** 2)
     p_star = center + (target - offset) / slope
     # delta method: gradient of p_star in (slope, offset)
     grad = np.array([-(target - offset) / slope ** 2, -1.0 / slope])

@@ -195,6 +195,21 @@ def test_root_returns_interpolated_point_of_final_bracket():
     assert p == pytest.approx(0.1, abs=1e-15)
 
 
+def test_root_stops_at_round_off_of_target():
+    # within 0.01 of the root f sits 4e-15 bits off the target: inside
+    # round-off of 1 bit, but never equal to it
+    root = 0.0631
+
+    def near_flat(p):
+        d = p - root
+        return 1.0 + (d if abs(d) >= 0.01 else math.copysign(4e-15, d))
+
+    f, probes = _recording(near_flat)
+    p = thresholds_module._root(f, 0.0, 1.0 / 3.0, 1.0, 1e-10)
+    first = next(x for x in probes if abs(x - root) < 0.01)
+    assert p == first == probes[-1]
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-20])
 @pytest.mark.parametrize("shape", ["sign", "lopsided", "flat-then-steep"])
 def test_root_interior_evaluations_bounded(shape, tol):
@@ -273,8 +288,9 @@ def test_monte_carlo_no_straddle_reports_measured_entropies(codes):
 
 
 def test_monte_carlo_fit_window_without_pilot_slope(codes):
-    # seed 0 draws a pilot pair with no positive slope; a fit across the
-    # whole final bracket used to land 13 sigma off the exact crossing
+    # on seed 0 a window with no positive slope to size it has put the fit
+    # 13 sigma off the crossing; the final bracket's secant slope is
+    # positive by construction
     code = codes["rep3"]
     exact = entropy_critical_p(code, "depolarizing", 1)
     mc = entropy_critical_p(code, "depolarizing", 1, method="mc",
@@ -301,3 +317,16 @@ def test_monte_carlo_search_draws_at_most_samples(codes, monkeypatch):
     monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
     entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc", samples=100)
     assert counts and max(counts) == 100
+
+
+@pytest.mark.parametrize("code, family, seed", [
+    *(("rep3", "indep-flips", seed) for seed in range(12)),
+    ("five-qubit", "depolarizing", 23),
+])
+def test_monte_carlo_search_is_calibrated(codes, code, family, seed):
+    # level 2 at 2000 samples: a fit window set by a noisy slope has missed
+    # the exact root by 355 sigma (rep3, seed 11) and 14 sigma (five-qubit)
+    exact = entropy_critical_p(codes[code], family, 2)
+    mc = entropy_critical_p(codes[code], family, 2, method="mc",
+                            samples=2000, seed=seed)
+    assert abs(mc.p_star - exact.p_star) <= 4.0 * mc.uncertainty

@@ -3,7 +3,9 @@
 
 The deep cells of the reference tables carry one-sigma uncertainties; a fresh
 stochastic estimate should overlap each within two sigma of the combined
-uncertainties.  Exact confirmation of the quoted deep-level digits is out of
+uncertainties.  The sampled cells are exactly these; the five-qubit
+depolarizing level-3 cell is quoted exact, and ``reproduce-tables`` runs it by
+exact enumeration.  Exact confirmation of the quoted deep-level digits is out of
 desk-scale reach (the exact enumeration exceeds any budget, and the quoted
 uncertainties are ~1e-6), so this script is informational rather than part of
 the release gate in tests/test_acceptance.py.

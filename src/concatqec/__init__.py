@@ -11,7 +11,6 @@ from .channels import (
     ChannelError,
     OneQubitSuperop,
     PauliProbVec,
-    apply_logical_pauli,
     entropy,
     noise_family,
 )
@@ -23,7 +22,6 @@ from .ensemble import (
     ensemble_entropy,
     exact_level,
     exact_level_entropy,
-    optimize_recovery,
 )
 from .levelmap import BlockNoise, blind_map, coset_map_enumerate, coset_map_probs, general_map_oracle
 from .montecarlo import MCEstimate, mc_concatenate
@@ -36,12 +34,12 @@ __version__ = "0.1.0"
 __all__ = [
     "PauliError", "PauliString", "eta", "multiply", "enumerate_group",
     "ChannelError", "PauliProbVec", "OneQubitSuperop", "entropy",
-    "apply_logical_pauli", "noise_family",
+    "noise_family",
     "CodeError", "StabilizerCode", "builtin_codes", "get_code",
     "encoding_column",
     "BlockNoise", "coset_map_probs", "coset_map_enumerate", "blind_map",
     "general_map_oracle",
-    "ChannelEnsemble", "BudgetExceeded", "optimize_recovery", "exact_level",
+    "ChannelEnsemble", "BudgetExceeded", "exact_level",
     "exact_level_entropy", "concatenate_exact", "ensemble_entropy",
     "MCEstimate", "mc_concatenate",
     "CriticalPoint", "NoStraddle", "entropy_critical_p",

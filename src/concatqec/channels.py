@@ -21,14 +21,12 @@ import numpy as np
 
 __all__ = [
     "CLAMP_TOL",
-    "LETTERS",
     "KLEIN",
     "HAD4",
     "PauliProbVec",
     "OneQubitSuperop",
     "entropy",
     "row_entropy",
-    "apply_logical_pauli",
     "noise_family",
     "NOISE_FAMILIES",
 ]
@@ -38,10 +36,8 @@ __all__ = [
 #: cancellation, so 1e-12 leaves a wide safety margin.
 CLAMP_TOL = 1e-12
 
-LETTERS = "IXYZ"
-_LETTER_INDEX = {c: i for i, c in enumerate(LETTERS)}
-
-#: Klein-group multiplication table on letter indices (I,X,Y,Z = 0..3).
+#: Klein-group multiplication table on letter indices (I,X,Y,Z = 0..3);
+#: ``row[KLEIN[s]]`` composes a channel row with the Pauli s.
 KLEIN = np.array(
     [[0, 1, 2, 3],
      [1, 0, 3, 2],
@@ -106,17 +102,6 @@ def entropy(p: PauliProbVec) -> float:
     if w <= 0.0:
         raise ChannelError("entropy undefined for zero-weight quasi-channel")
     return float(row_entropy(p.as_array() / w))
-
-
-def apply_logical_pauli(p: PauliProbVec, s: str) -> PauliProbVec:
-    """Compose a Pauli channel with the Pauli ``s``: error labels multiply by s.
-
-    Weight and entropy are unchanged; applying the same letter twice is the
-    identity.
-    """
-    si = _LETTER_INDEX[s]
-    arr = p.as_array()
-    return PauliProbVec.from_array(arr[KLEIN[si]])
 
 
 def _depolarizing(p: float) -> np.ndarray:

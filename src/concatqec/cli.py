@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 
 from .channels import ChannelError, NOISE_FAMILIES, noise_family
 from .codes import CodeError, builtin_codes, get_code
-from .ensemble import DEFAULT_BUDGET, BudgetExceeded
+from .ensemble import BudgetExceeded
 from .montecarlo import mc_concatenate
 from .reference import ReferenceCell, exact_cells, sampled_cells
 from .thresholds import (
@@ -205,7 +205,7 @@ def _cmd_entropy(config: RunConfig) -> tuple[list[dict], int]:
     code = get_code(config.code) if config.code else None
     if config.levels == 0 or config.method in ("exact", "auto"):
         try:
-            row["entropy"] = _exact_entropy(code, noise, config.levels, DEFAULT_BUDGET)
+            row["entropy"] = _exact_entropy(code, noise, config.levels)
             return [row], 0
         except BudgetExceeded:
             if config.method == "exact":

@@ -28,18 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (
-    HAD4, KLEIN, LETTERS, ChannelError, PauliProbVec, apply_logical_pauli, row_entropy)
+from .channels import HAD4, KLEIN, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode, qubit_automorphisms
 from .levelmap import _conditional, _coset_map_batch
 
 __all__ = [
     "DEDUP_TOL",
     "PRUNE_FLOOR",
-    "DEFAULT_BUDGET",
+    "BUDGET",
     "BudgetExceeded",
     "ChannelEnsemble",
-    "optimize_recovery",
     "exact_level",
     "exact_level_entropy",
     "concatenate_exact",
@@ -48,7 +46,8 @@ __all__ = [
 
 DEDUP_TOL = 1e-10
 PRUNE_FLOOR = 1e-15
-DEFAULT_BUDGET = 10 ** 7
+#: Most ordered assignments one exact level may enumerate.
+BUDGET = 10 ** 7
 
 #: Assignments are pushed through the level map in batches of this many.
 _CHUNK = 4096
@@ -69,7 +68,7 @@ class BudgetExceeded(RuntimeError):
     def __init__(self, combinations: int, budget: int):
         super().__init__(
             f"exact level needs {combinations} combinations, over the budget "
-            f"of {budget}; use the Monte Carlo path")
+            f"of {budget} (concatqec.ensemble.BUDGET); use the Monte Carlo path")
         self.combinations = combinations
         self.budget = budget
 
@@ -121,20 +120,8 @@ def _recovery_class(rows: np.ndarray) -> np.ndarray:
     return _TIE_ORDER[np.argmax(tied[..., _TIE_ORDER], axis=-1)]
 
 
-def optimize_recovery(q: PauliProbVec) -> tuple[str, PauliProbVec]:
-    """Best extra logical recovery for a channel and the channel after it.
-
-    Picks the class of maximal probability (near-ties broken in the order
-    I, X, Z, Y) and relabels errors so that class becomes the identity.
-    """
-    if q.weight() <= 0.0:
-        raise ChannelError("cannot optimize a zero-weight quasi-channel")
-    letter = LETTERS[_recovery_class(q.as_array())]
-    return letter, apply_logical_pauli(q, letter)
-
-
 def _optimize_rows(rows: np.ndarray) -> np.ndarray:
-    """Vectorized optimize_recovery over normalized channel rows."""
+    """Apply each row's best extra logical recovery: its recovery class moves to I."""
     sigma = _recovery_class(rows)
     return rows[np.arange(rows.shape[0])[:, None], KLEIN[sigma]]
 
@@ -286,34 +273,28 @@ def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble):
         yield mult[start:start + _CHUNK] * child.weights[idx].prod(axis=1), diag[idx]
 
 
-def _level_chunks(code: StabilizerCode, child: ChannelEnsemble, budget: int):
+def _level_chunks(code: StabilizerCode, child: ChannelEnsemble):
     """Yield (assignment weights, syndrome weights, conditional rows) per chunk.
 
-    The loop of both exact paths: the budget check, then the level map of
-    each chunk of assignments.
+    The loop of both exact paths: the check against BUDGET, read at call
+    time, then the level map of each chunk of assignments.
     """
     combinations = child.size ** code.n
-    if combinations > budget:
-        raise BudgetExceeded(combinations, budget)
+    if combinations > BUDGET:
+        raise BudgetExceeded(combinations, BUDGET)
     for assign_w, diags in _assignment_chunks(code, child):
         yield assign_w, *_conditional(_coset_map_batch(code, diags))
 
 
-def exact_level(
-    code: StabilizerCode,
-    child: ChannelEnsemble,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> ChannelEnsemble:
+def exact_level(code: StabilizerCode, child: ChannelEnsemble) -> ChannelEnsemble:
     """One exact concatenation level, every slot drawing from ``child``.
 
     Covers every ordered assignment of one entry per slot, by orbits of the
     code's qubit automorphisms.  Raises :class:`BudgetExceeded` if there are
-    more than ``budget`` ordered assignments, however many orbits they fall
-    into.
+    more than BUDGET ordered assignments, however many orbits they fall into.
     """
     acc = _Accumulator()
-    for assign_w, syn_w, rows in _level_chunks(code, child, budget):
+    for assign_w, syn_w, rows in _level_chunks(code, child):
         flat_w = (assign_w[:, None] * syn_w).reshape(-1)
         keep = flat_w > 0.0
         acc.add(flat_w[keep], _optimize_rows(rows.reshape(-1, 4)[keep]))
@@ -322,12 +303,7 @@ def exact_level(
     return ChannelEnsemble(weights, channels)
 
 
-def exact_level_entropy(
-    code: StabilizerCode,
-    child: ChannelEnsemble,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> float:
+def exact_level_entropy(code: StabilizerCode, child: ChannelEnsemble) -> float:
     """Mean conditional entropy of exact_level's output, streamed.
 
     Equals ensemble_entropy(exact_level(...)) but skips flattening and
@@ -336,18 +312,12 @@ def exact_level_entropy(
     recovery relabeling.
     """
     total = 0.0
-    for assign_w, syn_w, rows in _level_chunks(code, child, budget):
+    for assign_w, syn_w, rows in _level_chunks(code, child):
         total += float((assign_w[:, None] * syn_w * row_entropy(rows)).sum())
     return total
 
 
-def concatenate_exact(
-    code: StabilizerCode,
-    noise: PauliProbVec,
-    levels: int,
-    *,
-    budget: int = DEFAULT_BUDGET,
-) -> ChannelEnsemble:
+def concatenate_exact(code: StabilizerCode, noise: PauliProbVec, levels: int) -> ChannelEnsemble:
     """Ensemble after the given number of exact concatenation levels.
 
     Level 0 is the raw physical channel as a singleton ensemble.
@@ -356,7 +326,7 @@ def concatenate_exact(
         raise ChannelError("levels must be >= 0")
     ens = ChannelEnsemble.singleton(noise)
     for _ in range(levels):
-        ens = exact_level(code, ens, budget=budget)
+        ens = exact_level(code, ens)
     return ens
 
 

@@ -3,9 +3,10 @@
 Each sample draws one syndrome history through the full block tree: every
 bottom block samples a syndrome of the level map of the base noise, every
 higher node applies the level map to its children's conditional channels and
-samples a syndrome in turn, and the channel surviving at the root is
-optimized and scored.  Entropy averaged over samples estimates the exact
-ensemble entropy, which is infeasible to enumerate for deep levels.
+samples a syndrome in turn, and the channel surviving at the root is scored,
+not optimized: a logical recovery only relabels it and leaves its entropy
+unchanged.  Entropy averaged over samples estimates the exact ensemble
+entropy, which is infeasible to enumerate for deep levels.
 
 Bottom blocks all see the same base noise, so their level map is computed
 once and sampled categorically.  Higher nodes memoize level maps keyed by the
@@ -25,7 +26,6 @@ import numpy as np
 
 from .channels import HAD4, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode
-from .ensemble import _optimize_rows
 from .levelmap import _coset_map_batch, _conditional, coset_map_probs
 
 __all__ = ["MCEstimate", "mc_concatenate"]
@@ -41,14 +41,12 @@ _ID_DECIMALS = 12
 class MCEstimate:
     """Sample mean and standard error of the root channel's entropy.
 
-    ``mean_infidelity`` is the average of 1 - p_I after root optimization.
     Estimates are reproducible given (seed, samples, streams).
     """
 
     mean_entropy: float
     std_error: float
     samples: int
-    mean_infidelity: float
     seed: int
 
 
@@ -116,7 +114,6 @@ class _StreamWorker:
         width0 = n ** (self.levels - 1)
         chunk = max(1, _MAX_CELLS // max(width0, 1))
         ent = np.empty(n_samples)
-        inf = np.empty(n_samples)
         done = 0
         while done < n_samples:
             s = min(chunk, n_samples - done)
@@ -131,11 +128,9 @@ class _StreamWorker:
                 u = rng.random(nodes.shape[0])
                 beta = (cums[inverse] <= u[:, None]).sum(axis=1)
                 ids = idtabs[inverse, beta].reshape(s, width)
-            rows = _optimize_rows(self.registry.matrix()[ids[:, 0]])
-            ent[done:done + s] = row_entropy(rows)
-            inf[done:done + s] = 1.0 - rows[:, 0]
+            ent[done:done + s] = row_entropy(self.registry.matrix()[ids[:, 0]])
             done += s
-        return ent, inf
+        return ent
 
 
 def mc_concatenate(
@@ -171,14 +166,12 @@ def mc_concatenate(
     else:
         results = [run_one(s) for s in range(streams)]
 
-    ent = np.concatenate([r[0] for r in results])
-    inf = np.concatenate([r[1] for r in results])
+    ent = np.concatenate(results)
     spread = ent.std(ddof=1) if np.ptp(ent) > 0.0 else 0.0  # equal entropies: 0, not round-off
     se = float(spread / np.sqrt(samples)) if samples > 1 else float("inf")
     return MCEstimate(
         mean_entropy=float(ent.mean()),
         std_error=se,
         samples=samples,
-        mean_infidelity=float(inf.mean()),
         seed=int(seed),
     )

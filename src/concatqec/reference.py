@@ -105,10 +105,10 @@ REFERENCE_TABLES: tuple[ReferenceCell, ...] = (
 
 
 def exact_cells() -> list[ReferenceCell]:
-    """Deterministic cells: adaptive levels 0-2 and the unoptimized rows."""
-    return [c for c in REFERENCE_TABLES if c.exact and c.level <= 2]
+    """Cells quoted exactly (sigma = 0), the unoptimized rows included."""
+    return [c for c in REFERENCE_TABLES if c.exact]
 
 
 def sampled_cells() -> list[ReferenceCell]:
-    """Deep cells carrying reference uncertainties, plus the exact level-3."""
-    return [c for c in REFERENCE_TABLES if c.sigma > 0.0 or c.level == 3]
+    """Deep cells carrying reference uncertainties."""
+    return [c for c in REFERENCE_TABLES if not c.exact]

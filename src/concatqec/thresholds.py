@@ -20,12 +20,7 @@ import numpy as np
 
 from .channels import HAD4, NOISE_FAMILIES, ChannelError, PauliProbVec, entropy, noise_family
 from .codes import StabilizerCode
-from .ensemble import (
-    BudgetExceeded,
-    DEFAULT_BUDGET,
-    concatenate_exact,
-    exact_level_entropy,
-)
+from .ensemble import BudgetExceeded, concatenate_exact, exact_level_entropy
 # bench/worker.py traces thresholds.blind_map by name, so the name stays here.
 from .levelmap import _blind_step, blind_map
 from .montecarlo import mc_concatenate
@@ -76,8 +71,7 @@ def _bracket(family: str) -> tuple[float, float]:
     return 0.0, NOISE_FAMILIES[family][2]
 
 
-def _exact_entropy(code: StabilizerCode | None, noise: PauliProbVec, level: int,
-                   budget: int) -> float:
+def _exact_entropy(code: StabilizerCode | None, noise: PauliProbVec, level: int) -> float:
     """Exact mean entropy of the level-``level`` ensemble of ``noise``.
 
     Level 0 is the raw channel and needs no code.
@@ -86,8 +80,8 @@ def _exact_entropy(code: StabilizerCode | None, noise: PauliProbVec, level: int,
         return entropy(noise)
     if code is None:
         raise ValueError("levels above 0 require a code")
-    child = concatenate_exact(code, noise, level - 1, budget=budget)
-    return exact_level_entropy(code, child, budget=budget)
+    child = concatenate_exact(code, noise, level - 1)
+    return exact_level_entropy(code, child)
 
 
 def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
@@ -100,8 +94,10 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     step is the bisection midpoint.  Returns an endpoint where f equals
     target, or the first probe within round-off of it (64 eps max(1,
     |target|)), otherwise the interpolated point of the final bracket, which
-    is no wider than ``tol``.
+    is no wider than ``tol``, which must be positive and finite.
     """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, not {tol!r}")
     g_lo, g_hi = f(lo) - target, f(hi) - target
     if not (g_lo <= 0.0 <= g_hi):
         raise NoStraddle(lo, hi, g_lo + target, g_hi + target, target)
@@ -142,7 +138,6 @@ def entropy_critical_p(
     target: float = 1.0,
     tol: float = 1e-10,
     method: str = "auto",
-    budget: int = DEFAULT_BUDGET,
     samples: int = 100_000,
     seed: int = 0,
     threads: int = 1,
@@ -150,8 +145,9 @@ def entropy_critical_p(
     """Noise parameter where the level-``level`` ensemble entropy hits target.
 
     ``method`` is "exact", "mc", or "auto" (exact, falling back to Monte
-    Carlo if the exact enumeration exceeds the budget).  Level 0 measures the
-    raw channel, needs no code and is exact under every method.
+    Carlo if the exact enumeration exceeds ``concatqec.ensemble.BUDGET``).
+    Level 0 measures the raw channel, needs no code and is exact under every
+    method.
     """
     if method not in ("exact", "mc", "auto"):
         raise ValueError(f"unknown method {method!r}")
@@ -161,7 +157,7 @@ def entropy_critical_p(
     if level == 0 or method in ("exact", "auto"):
         try:
             p_star = _root(
-                lambda p: _exact_entropy(code, noise_family(family, p), level, budget),
+                lambda p: _exact_entropy(code, noise_family(family, p), level),
                 lo, hi, target, tol)
             return CriticalPoint(name, family, level, p_star, target, "exact", 0.0)
         except BudgetExceeded:

@@ -225,7 +225,7 @@ def test_reproduce_tables_dry_run(capsys):
     assert code == 0
     _, header, rows = parse_csv(out)
     assert header == list(COLUMNS["reproduce-tables"])
-    assert len(rows) == 16
+    assert len(rows) == 17
     assert all(r["status"] == "planned" for r in rows)
     assert all(r["computed"] == "" for r in rows)
     assert {r["code"] for r in rows} == {"five-qubit", "steane"}
@@ -238,15 +238,18 @@ def test_reproduce_tables_out_creates_missing_directory(capsys, tmp_path):
     assert out == ""
     _, header, rows = parse_csv(path.read_text())
     assert header == list(COLUMNS["reproduce-tables"])
-    assert len(rows) == 16
+    assert len(rows) == 17
     assert all(r["status"] == "pass" for r in rows)
+    level3, = [r for r in rows if (r["code"], r["family"], r["level"])
+               == ("five-qubit", "depolarizing", "3")]
+    assert (level3["method"], level3["status"]) == ("exact", "pass")
 
 
 def test_reproduce_tables_dry_run_with_mc(capsys):
     code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--with-mc")
     assert code == 0
     _, _, rows = parse_csv(out)
-    assert len(rows) > 16
+    assert len(rows) > 17
     assert any(r["method"] == "auto" for r in rows)
 
 

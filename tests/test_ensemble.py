@@ -12,16 +12,15 @@ from concatqec import (
     PauliProbVec,
     PauliString,
     StabilizerCode,
-    apply_logical_pauli,
     concatenate_exact,
     coset_map_probs,
     ensemble_entropy,
     exact_level,
     exact_level_entropy,
     noise_family,
-    optimize_recovery,
 )
 from concatqec import ensemble as ensemble_module
+from concatqec.channels import KLEIN
 from concatqec.codes import qubit_automorphisms
 from concatqec.ensemble import DEDUP_TOL, _Accumulator, _optimize_rows
 
@@ -50,37 +49,35 @@ def row_entropy(row):
 
 # ---------------------------------------------------------------- recovery
 
+def optimized(row):
+    """_optimize_rows on a one-row batch."""
+    return _optimize_rows(np.asarray(row, dtype=float)[None, :])[0]
+
+
 def test_optimize_recovery_identity_dominant():
-    q = PauliProbVec.from_array(np.array([0.7, 0.1, 0.1, 0.1]))
-    letter, out = optimize_recovery(q)
-    assert letter == "I"
-    assert np.allclose(out.as_array(), q.as_array())
+    row = [0.7, 0.1, 0.1, 0.1]
+    assert np.array_equal(optimized(row), row)
 
 
 def test_optimize_recovery_tie_prefers_identity():
-    q = PauliProbVec.from_array(np.array([0.3, 0.3, 0.1, 0.3]))
-    letter, out = optimize_recovery(q)
-    assert letter == "I"
-    assert np.allclose(out.as_array(), q.as_array())
+    row = [0.3, 0.3, 0.1, 0.3]
+    assert np.array_equal(optimized(row), row)
 
 
 def test_optimize_recovery_tie_prefers_x_over_z():
-    q = PauliProbVec.from_array(np.array([0.1, 0.4, 0.1, 0.4]))
-    letter, _ = optimize_recovery(q)
-    assert letter == "X"
+    # X and Z relabel this row differently: X swaps I<->X and Y<->Z
+    assert np.array_equal(optimized([0.05, 0.4, 0.15, 0.4]), [0.4, 0.05, 0.4, 0.15])
 
 
 def test_optimize_recovery_tie_prefers_z_over_y():
-    q = PauliProbVec.from_array(np.array([0.1, 0.1, 0.4, 0.4]))
-    letter, _ = optimize_recovery(q)
-    assert letter == "Z"
+    # Z swaps I<->Z and X<->Y; Y would give [0.4, 0.4, 0.05, 0.15]
+    assert np.array_equal(optimized([0.05, 0.15, 0.4, 0.4]), [0.4, 0.4, 0.15, 0.05])
 
 
 def test_optimize_recovery_near_tie_prefers_identity():
     # a round-off deficit on I does not hand the recovery to X
-    q = PauliProbVec.from_array(np.array([0.3 - 1e-15, 0.3, 0.1, 0.3]))
-    letter, _ = optimize_recovery(q)
-    assert letter == "I"
+    row = [0.3 - 1e-15, 0.3, 0.1, 0.3]
+    assert np.array_equal(optimized(row), row)
 
 
 def test_optimize_rows_near_tie_ignores_round_off():
@@ -93,30 +90,21 @@ def test_optimize_rows_near_tie_ignores_round_off():
     assert np.allclose(out, [m, m, e, m], rtol=0.0, atol=1e-15)
 
 
-def test_optimize_recovery_zero_weight_rejected():
-    with pytest.raises(ChannelError):
-        optimize_recovery(PauliProbVec.from_array(np.zeros(4)))
-
-
 @given(prob_vecs())
 def test_optimize_recovery_moves_max_to_identity(q):
-    letter, out = optimize_recovery(q)
-    arr = out.as_array()
-    assert arr[0] == pytest.approx(q.as_array().max())
-    assert np.allclose(arr, apply_logical_pauli(q, letter).as_array())
+    row = q.as_array()
+    out = optimized(row)
+    assert out[0] == pytest.approx(row.max())
+    assert any(np.array_equal(out, row[perm]) for perm in KLEIN)
     # a second pass has nothing left to do
-    letter2, out2 = optimize_recovery(out)
-    assert letter2 == "I"
-    assert np.allclose(out2.as_array(), arr)
+    assert np.array_equal(optimized(out), out)
 
 
 def test_optimize_recovery_quasi_channel_swap():
     # an X-dominant quasi-channel gets its I and X (and Y and Z) entries
     # swapped; the overall weight stays put
-    q = PauliProbVec.from_array(0.125 * np.array([0.2, 0.5, 0.1, 0.2]))
-    letter, out = optimize_recovery(q)
-    assert letter == "X"
-    assert np.allclose(out.as_array(), 0.125 * np.array([0.5, 0.2, 0.2, 0.1]))
+    out = optimized(0.125 * np.array([0.2, 0.5, 0.1, 0.2]))
+    assert np.allclose(out, 0.125 * np.array([0.5, 0.2, 0.2, 0.1]))
 
 
 # ---------------------------------------------------------------- ensembles
@@ -169,10 +157,10 @@ def test_exact_level_matches_per_syndrome_channels(codes):
     assert ens.size == bf2.n_syndromes
     for beta in range(bf2.n_syndromes):
         w = rows[beta].sum()
-        _, cond = optimize_recovery(PauliProbVec.from_array(rows[beta] / w))
+        cond = optimized(rows[beta] / w)
         i = np.flatnonzero(np.abs(ens.weights - w) < 1e-12)
         assert i.size == 1
-        assert np.allclose(ens.channels[i[0]], cond.as_array(), atol=1e-12)
+        assert np.allclose(ens.channels[i[0]], cond, atol=1e-12)
 
 
 def test_exact_level_entropy_matches_syndrome_sum(codes):
@@ -202,15 +190,18 @@ def test_exact_level_entropy_agrees_with_flattened(codes):
     assert direct == pytest.approx(flattened, abs=1e-8)
 
 
-def test_budget_exceeded(codes):
+def test_budget_exceeded(codes, monkeypatch):
     code = codes["rep3"]
     base = exact_level(code, ChannelEnsemble.singleton(bit_flip(0.4)))
     assert base.size > 1
+    monkeypatch.setattr(ensemble_module, "BUDGET", base.size ** code.n - 1)
     with pytest.raises(BudgetExceeded) as info:
-        exact_level(code, base, budget=base.size ** code.n - 1)
+        exact_level(code, base)
     assert info.value.combinations == base.size ** code.n
+    assert "concatqec.ensemble.BUDGET" in str(info.value)
+    monkeypatch.setattr(ensemble_module, "BUDGET", 1)
     with pytest.raises(BudgetExceeded):
-        exact_level_entropy(code, base, budget=1)
+        exact_level_entropy(code, base)
 
 
 # ------------------------------------------------------------- concatenation

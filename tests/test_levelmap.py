@@ -8,7 +8,6 @@ from concatqec import (
     CodeError,
     OneQubitSuperop,
     PauliProbVec,
-    apply_logical_pauli,
     blind_map,
     coset_map_enumerate,
     coset_map_probs,
@@ -16,7 +15,7 @@ from concatqec import (
 )
 from concatqec.codes import get_code
 from concatqec.levelmap import BlockNoise, _coset_map_batch
-from concatqec.channels import HAD4
+from concatqec.channels import HAD4, KLEIN
 from conftest import random_code
 
 raw4 = st.lists(st.floats(1e-4, 1.0), min_size=4, max_size=4)
@@ -305,9 +304,9 @@ def test_recovery_relabeling_matches_probability_permutation(codes):
     bf2 = codes["bitflip2"]
     x = 0.4
     row = coset_map_probs(bf2, bit_flip(x))[1]
-    relabeled = apply_logical_pauli(PauliProbVec.from_array(row / row.sum()), "X")
+    relabeled = row[KLEIN[1]] / row.sum()
     sup = [OneQubitSuperop.from_probs(bit_flip(x))] * 2
     ix = bf2.class_representative("X") * bf2.representatives[1]
     g = general_map_oracle(bf2, sup, recoveries=[bf2.representatives[0], ix])
     quasi = (np.diag(g[1]) @ HAD4.T) / 4.0
-    assert np.allclose(quasi / quasi.sum(), relabeled.as_array(), atol=1e-12)
+    assert np.allclose(quasi / quasi.sum(), relabeled, atol=1e-12)

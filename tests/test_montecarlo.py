@@ -57,13 +57,12 @@ def test_matches_exact_level_two(codes):
     assert abs(est.mean_entropy - exact) < 3.0 * est.std_error
 
 
-def test_infidelity_tracks_identity_mass(codes):
-    # near-noiseless input: the optimized root channel is close to the
-    # identity, so both entropy and infidelity are tiny
-    # rep3 leaves the Z component uncorrected, so some entropy survives
+def test_near_noiseless_entropy_is_small(codes):
+    # near-noiseless input: the root channel is close to a Pauli, so its
+    # entropy is tiny; rep3 leaves the Z component uncorrected, so some
+    # entropy survives
     est = mc_concatenate(codes["rep3"], noise_family("depolarizing", 1e-4), 2, 200, seed=1)
     assert est.mean_entropy < 0.05
-    assert est.mean_infidelity < 5e-3
 
 
 def test_invalid_arguments_rejected(codes):

@@ -16,6 +16,7 @@ from concatqec import (
     threshold_series,
     unoptimized_threshold,
 )
+from concatqec import ensemble as ensemble_module
 from concatqec import thresholds as thresholds_module
 from concatqec.channels import HAD4
 from concatqec.reference import EXACT_RTOL, REFERENCE_TABLES
@@ -79,15 +80,24 @@ def test_method_validation(codes):
         entropy_critical_p(None, "depolarizing", 1)  # code required
 
 
-def test_exact_method_propagates_budget(codes):
+@pytest.mark.parametrize("tol", [0.0, -1e-3, math.nan, math.inf])
+def test_root_rejects_tol_outside_positive_finite(codes, tol):
+    with pytest.raises(ValueError, match="tol"):
+        entropy_critical_p(None, "depolarizing", 0, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        unoptimized_threshold(codes["rep3"], "depolarizing", tol=tol)
+
+
+def test_exact_method_propagates_budget(codes, monkeypatch):
+    monkeypatch.setattr(ensemble_module, "BUDGET", 4)
     with pytest.raises(BudgetExceeded):
-        entropy_critical_p(codes["rep3"], "depolarizing", 2, method="exact",
-                           budget=4)
+        entropy_critical_p(codes["rep3"], "depolarizing", 2, method="exact")
 
 
-def test_auto_falls_back_to_monte_carlo(codes):
+def test_auto_falls_back_to_monte_carlo(codes, monkeypatch):
+    monkeypatch.setattr(ensemble_module, "BUDGET", 4)
     cp = entropy_critical_p(codes["rep3"], "depolarizing", 2, method="auto",
-                            budget=4, samples=1500, seed=4)
+                            samples=1500, seed=4)
     assert cp.method == "monte-carlo"
     assert cp.uncertainty > 0.0
 

@@ -21,7 +21,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .channels import ChannelError, NOISE_FAMILIES, noise_family
 from .codes import CodeError, builtin_codes, get_code
@@ -72,6 +72,10 @@ class UsageError(Exception):
     """Configuration problem; reported with the offending field."""
 
 
+#: Exact JSON types a config-file value may take, by RunConfig annotation.
+_FILE_TYPES = {"int": (int,), "float": (int, float), "str": (str,), "bool": (bool,)}
+
+
 def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
@@ -92,12 +96,16 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
         file_values = _load_config_file(path)
-        known = set(merged)
+        known = {f.name: (f.type.split(" |")[0], f.default) for f in fields(RunConfig)}
         for key, value in file_values.items():
             if key == "command":
                 continue
             if key not in known:
                 raise UsageError(f"unknown config key {key!r} in {path}")
+            kind, default = known[key]
+            if type(value) not in _FILE_TYPES[kind] and not (value is None and default is None):
+                raise UsageError(f"config key {key!r} in {path} must be {kind}, "
+                                 f"not {json.dumps(value)}")
             merged[key] = value
     for key in merged:
         flag = getattr(args, key, None)

@@ -12,7 +12,9 @@ Bottom blocks all see the same base noise, so their level map is computed
 once and sampled categorically.  Higher nodes memoize level maps keyed by the
 ordered tuple of child channel identities; keys are not canonicalized under
 the code's qubit automorphisms (which would only relabel syndromes), so
-permuted tuples of one orbit are computed separately.  Samples are split
+permuted tuples of one orbit are computed separately.  Identities, keyed by a
+row's exact bytes, go only to the bottom map's rows and to the rows higher
+nodes draw, once per distinct (node, syndrome) pair.  Samples are split
 across independent streams seeded by (seed, stream); results are
 deterministic for a fixed stream count regardless of thread count.
 """
@@ -33,9 +35,6 @@ __all__ = ["MCEstimate", "mc_concatenate"]
 #: Per-chunk cap on (samples x tree width) cells, to bound memory.
 _MAX_CELLS = 1 << 22
 
-#: Channel identities are assigned on this rounding grid.
-_ID_DECIMALS = 12
-
 
 @dataclass(frozen=True)
 class MCEstimate:
@@ -51,7 +50,7 @@ class MCEstimate:
 
 
 class _Registry:
-    """Channel rows keyed by rounded value; stable integer identities."""
+    """Channel rows keyed by their exact bytes; stable integer identities."""
 
     def __init__(self):
         self._ids: dict[bytes, int] = {}
@@ -59,11 +58,8 @@ class _Registry:
         self._matrix: np.ndarray | None = None
 
     def register(self, row: np.ndarray) -> int:
-        key = np.round(row, _ID_DECIMALS).tobytes()
-        slot = self._ids.get(key)
-        if slot is None:
-            slot = len(self._rows)
-            self._ids[key] = slot
+        slot = self._ids.setdefault(row.tobytes(), len(self._rows))
+        if slot == len(self._rows):
             self._rows.append(np.array(row))
             self._matrix = None
         return slot
@@ -90,24 +86,20 @@ class _StreamWorker:
         self.ids1 = np.array([self.registry.register(r) for r in rows1])
 
     def _node_maps(self, uniq_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Cumulative syndrome weights and child row ids for unique key rows."""
-        n_syn = self.code.n_syndromes
-        cums = np.empty((uniq_keys.shape[0], n_syn))
-        idtabs = np.empty((uniq_keys.shape[0], n_syn), dtype=np.int64)
-        missing = [k for k, key in enumerate(uniq_keys)
-                   if key.tobytes() not in self.memo]
+        """Memoized cumulative syndrome weights and conditional rows of key rows.
+
+        Registers nothing: the caller registers only the rows it draws.
+        """
+        keys = [key.tobytes() for key in uniq_keys]
+        missing = [k for k, key in enumerate(keys) if key not in self.memo]
         if missing:
-            rows = self.registry.matrix()
-            diags = rows[uniq_keys[missing]] @ HAD4.T
+            diags = self.registry.matrix()[uniq_keys[missing]] @ HAD4.T
             w, cond = _conditional(_coset_map_batch(self.code, diags))
-            for pos, k in enumerate(missing):
-                cum = np.cumsum(w[pos])
-                cum[-1] = 1.0
-                ids = np.array([self.registry.register(r) for r in cond[pos]])
-                self.memo[uniq_keys[k].tobytes()] = (cum, ids)
-        for k, key in enumerate(uniq_keys):
-            cums[k], idtabs[k] = self.memo[key.tobytes()]
-        return cums, idtabs
+            cum = np.cumsum(w, axis=1)
+            cum[:, -1] = 1.0
+            self.memo.update(zip([keys[k] for k in missing], zip(cum, cond)))
+        cums, conds = zip(*(self.memo[key] for key in keys))
+        return np.stack(cums), np.stack(conds)
 
     def run(self, n_samples: int, rng: np.random.Generator):
         n = self.code.n
@@ -119,16 +111,16 @@ class _StreamWorker:
             s = min(chunk, n_samples - done)
             u = rng.random((s, width0))
             ids = self.ids1[np.searchsorted(self.cum1, u, side="right")]
-            width = width0
             for _ in range(self.levels - 1):
-                width //= n
-                nodes = ids.reshape(s * width, n)
+                nodes = ids.reshape(-1, n)
                 uniq, inverse = np.unique(nodes, axis=0, return_inverse=True)
-                cums, idtabs = self._node_maps(uniq)
+                cums, conds = self._node_maps(uniq)
                 u = rng.random(nodes.shape[0])
                 beta = (cums[inverse] <= u[:, None]).sum(axis=1)
-                ids = idtabs[inverse, beta].reshape(s, width)
-            ent[done:done + s] = row_entropy(self.registry.matrix()[ids[:, 0]])
+                drawn, back = np.unique(inverse * cums.shape[1] + beta, return_inverse=True)
+                rows = conds.reshape(-1, 4)[drawn]
+                ids = np.array([self.registry.register(r) for r in rows])[back]
+            ent[done:done + s] = row_entropy(self.registry.matrix()[ids.ravel()])
             done += s
         return ent
 
@@ -152,8 +144,7 @@ def mc_concatenate(
         raise ChannelError("seed must be a nonnegative integer")
     streams = min(max(1, streams), samples)
 
-    counts = [samples // streams + (1 if s < samples % streams else 0)
-              for s in range(streams)]
+    counts = [samples // streams + (s < samples % streams) for s in range(streams)]
 
     def run_one(s: int):
         worker = _StreamWorker(code, base_noise, levels)

@@ -212,6 +212,25 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+# the first key of each config holds the value of the wrong type
+@pytest.mark.parametrize("values", [
+    {"levels": "2", "family": "depolarizing"},
+    {"levels": 1.5, "code": "rep3", "family": "depolarizing"},
+    {"samples": 1.5},
+    {"seed": True},
+    {"unoptimized": "yes"},
+    {"tol": "x"},
+])
+def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, values):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    with pytest.raises(SystemExit) as info:
+        main(["threshold", "--config", str(cfg)])
+    assert info.value.code == 2
+    bad_key = next(iter(values))
+    assert repr(bad_key) in capsys.readouterr().err
+
+
 def test_no_crossing_exits_1(capsys):
     code, out, err = run(capsys, "threshold", "--family", "depolarizing",
                          "--levels", "0", "--target-entropy", "1.9")

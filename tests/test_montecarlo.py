@@ -10,24 +10,27 @@ from concatqec import (
     mc_concatenate,
     noise_family,
 )
+from concatqec.reference import REFERENCE_TABLES
 
 
 def test_deterministic_for_fixed_seed(codes):
     code = codes["five-qubit"]
     noise = noise_family("depolarizing", 0.06)
-    a = mc_concatenate(code, noise, 2, 400, seed=7)
-    b = mc_concatenate(code, noise, 2, 400, seed=7)
-    assert a == b
-    c = mc_concatenate(code, noise, 2, 400, seed=8)
-    assert c.mean_entropy != a.mean_entropy
+    for levels in (2, 3):
+        a = mc_concatenate(code, noise, levels, 400, seed=7)
+        b = mc_concatenate(code, noise, levels, 400, seed=7)
+        assert a == b
+        c = mc_concatenate(code, noise, levels, 400, seed=8)
+        assert c.mean_entropy != a.mean_entropy
 
 
 def test_thread_count_does_not_change_result(codes):
     code = codes["five-qubit"]
     noise = noise_family("depolarizing", 0.06)
-    a = mc_concatenate(code, noise, 2, 400, seed=3, threads=1)
-    b = mc_concatenate(code, noise, 2, 400, seed=3, threads=4)
-    assert a == b
+    for levels in (2, 3):
+        a = mc_concatenate(code, noise, levels, 400, seed=3, threads=1)
+        b = mc_concatenate(code, noise, levels, 400, seed=3, threads=4)
+        assert a == b
 
 
 def test_stream_count_changes_the_draws(codes):
@@ -55,6 +58,16 @@ def test_matches_exact_level_two(codes):
     exact = ensemble_entropy(concatenate_exact(code, noise, 2))
     est = mc_concatenate(code, noise, 2, 4000, seed=2)
     assert abs(est.mean_entropy - exact) < 3.0 * est.std_error
+
+
+def test_matches_exact_level_three_at_quoted_crossing(codes):
+    # the exact level-3 entropy at the quoted p* is 1 bit within about 4e-8
+    # (test_five_qubit_depolarizing_level3_cell_brackets_quoted_value)
+    cell = next(c for c in REFERENCE_TABLES
+                if (c.code, c.family, c.level) == ("five-qubit", "depolarizing", 3))
+    noise = noise_family("depolarizing", cell.p_star)
+    est = mc_concatenate(codes["five-qubit"], noise, 3, 4000, seed=0)
+    assert abs(est.mean_entropy - 1.0) < 3.0 * est.std_error
 
 
 def test_near_noiseless_entropy_is_small(codes):

@@ -8,11 +8,12 @@ depolarizing level-3 cell is quoted exact, and ``reproduce-tables`` runs it by
 exact enumeration.  Exact confirmation of the quoted deep-level digits is out of
 desk-scale reach (the exact enumeration exceeds any budget, and the quoted
 uncertainties are ~1e-6), so this check is statistical.  Exits 1 when a cell
-misses; the defaults (levels <= 3, 5000 samples, seed 0) are deterministic and
-CI runs them, in about 12 s on two cores.
+misses; the defaults (levels <= 3, 5000 samples, seed 0) are deterministic
+and take about 5 s on two cores.
 
-Per-sample cost grows as n^level: level 4 takes about two minutes at the
-default samples.  Raise ``--max-level`` and ``--samples`` with time to spare.
+Per-sample cost grows as n^level: ``--max-level 4`` (seven cells) takes about
+45 s at the default samples, and CI runs it.  Raise ``--max-level`` and
+``--samples`` with time to spare.
 """
 
 import argparse

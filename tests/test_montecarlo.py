@@ -10,13 +10,14 @@ from concatqec import (
     mc_concatenate,
     noise_family,
 )
+from concatqec import montecarlo
 from concatqec.reference import REFERENCE_TABLES
 
 
 def test_deterministic_for_fixed_seed(codes):
     code = codes["five-qubit"]
     noise = noise_family("depolarizing", 0.06)
-    for levels in (2, 3):
+    for levels in (2, 3, 4):
         a = mc_concatenate(code, noise, levels, 400, seed=7)
         b = mc_concatenate(code, noise, levels, 400, seed=7)
         assert a == b
@@ -27,7 +28,7 @@ def test_deterministic_for_fixed_seed(codes):
 def test_thread_count_does_not_change_result(codes):
     code = codes["five-qubit"]
     noise = noise_family("depolarizing", 0.06)
-    for levels in (2, 3):
+    for levels in (2, 3, 4):
         a = mc_concatenate(code, noise, levels, 400, seed=3, threads=1)
         b = mc_concatenate(code, noise, levels, 400, seed=3, threads=4)
         assert a == b
@@ -68,6 +69,34 @@ def test_matches_exact_level_three_at_quoted_crossing(codes):
     noise = noise_family("depolarizing", cell.p_star)
     est = mc_concatenate(codes["five-qubit"], noise, 3, 4000, seed=0)
     assert abs(est.mean_entropy - 1.0) < 3.0 * est.std_error
+
+
+def test_matches_exact_level_two_on_random_codes(random_codes):
+    # codes that leave the logical qubit unencoded give every sample the same
+    # entropy up to round-off, so the standard error is floored at 1e-12 bits
+    noise = PauliProbVec.from_array(np.array([0.88, 0.05, 0.03, 0.04]))
+    z = []
+    for seed, code in enumerate(random_codes):
+        exact = ensemble_entropy(concatenate_exact(code, noise, 2))
+        est = mc_concatenate(code, noise, 2, 2000, seed=seed)
+        z.append((est.mean_entropy - exact) / np.hypot(est.std_error, 1e-12))
+    assert np.sqrt(np.mean(np.square(z))) <= 1.5
+    assert np.max(np.abs(z)) <= 4.0
+
+
+def test_kernel_calls_stay_within_the_block_cap(codes, monkeypatch):
+    real = montecarlo._coset_map_batch
+    blocks = []
+
+    def recording(code, diags):
+        blocks.append(len(diags))
+        return real(code, diags)
+
+    monkeypatch.setattr(montecarlo, "_coset_map_batch", recording)
+    mc_concatenate(codes["steane"], noise_family("depolarizing", 0.0627), 4, 200,
+                   seed=0, streams=1)
+    assert max(blocks) <= montecarlo._MAX_BLOCKS
+    assert len(blocks) > 3  # one call per kernel level and chunk: more than one chunk
 
 
 def test_near_noiseless_entropy_is_small(codes):

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Calibration of the Monte Carlo root search against exact crossings.
 
-Runs ``entropy_critical_p(..., method="mc")`` on four cells whose exact
+Runs ``entropy_critical_p(..., method="mc")`` on five cells whose exact
 crossing is cheap, at 2000 and 20000 samples, seeds 0-99, and compares each
 estimate p with its exact root p* through z = (p - p*) / sigma(p).  Per row
 it prints:
@@ -29,7 +29,8 @@ from concatqec import entropy_critical_p, get_code
 from concatqec import thresholds
 
 CELLS = [("rep3", "depolarizing", 1), ("rep3", "depolarizing", 2),
-         ("five-qubit", "depolarizing", 2), ("rep3", "indep-flips", 2)]
+         ("five-qubit", "depolarizing", 2), ("rep3", "indep-flips", 2),
+         ("five-qubit", "depolarizing", 3)]
 SAMPLES = (2000, 20000)
 SEEDS = range(100)
 MAX_RMS_Z, MAX_ABS_Z = 1.3, 5.0

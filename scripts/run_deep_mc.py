@@ -9,10 +9,10 @@ exact enumeration.  Exact confirmation of the quoted deep-level digits is out of
 desk-scale reach (the exact enumeration exceeds any budget, and the quoted
 uncertainties are ~1e-6), so this check is statistical.  Exits 1 when a cell
 misses; the defaults (levels <= 3, 5000 samples, seed 0) are deterministic
-and take about 5 s on two cores.
+and take about 2 s on two cores.
 
 Per-sample cost grows as n^level: ``--max-level 4`` (seven cells) takes about
-45 s at the default samples, and CI runs it.  Raise ``--max-level`` and
+11 s at the default samples, and CI runs it.  Raise ``--max-level`` and
 ``--samples`` with time to spare.
 """
 

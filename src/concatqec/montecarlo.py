@@ -1,18 +1,30 @@
 """Monte Carlo sampling of deep concatenation levels.
 
-Each sample draws one syndrome history up the block tree, carrying channel
-rows.  Bottom blocks draw a syndrome of the base noise's level map, computed
-once, and take its conditional row.  Each higher tree level is one kernel call
-on every node of a chunk of samples: each node draws a syndrome and passes its
-conditional row up.  The root draws nothing: a sample scores sum_s w_s H(q_s)
-over the root's syndromes s, the expected entropy of a drawn root given its
-children (Rao-Blackwell: the same mean, a smaller variance).  The root is not
-optimized, since a logical recovery only relabels it.  At level 1 the drawn
-leaf is scored.  A chunk holds as many samples as keep its widest kernel call
-within ``_MAX_BLOCKS`` blocks, which bounds memory by bytes, not by samples; a
-sample wider than that (Steane from level 7) makes a chunk alone.  Streams are
-seeded by (seed, stream), so results are deterministic for a fixed stream
-count regardless of thread count.
+Each call builds one sampling table, which its streams share read-only: the
+(weight, conditional row) pairs of every (assignment, syndrome) of exact level
+b.  b = 2 from level 3 up (``ensemble._level_chunks`` over the exact level-1
+ensemble) unless that table would exceed ``_MAX_TABLE_ROWS`` rows; otherwise
+b = 1, the level map of the base noise.  A sample draws its n^(L-b) bottom
+rows from the table.  Each higher tree level is one kernel call on every node
+of a chunk of samples: each node draws a syndrome and passes its conditional
+row up.  The root draws nothing: a sample scores sum_s w_s H(q_s) over the
+root's syndromes s (Rao-Blackwell: the same mean, a smaller variance).  The
+root is not optimized, since a logical recovery only relabels it.  At level 1
+the drawn leaf is scored.
+
+From level 2 up a control variate adjusts each score Y.  The features
+f = (sum H, sum H^2) of the sample's drawn rows have the exact mean n^(L-b)
+times the table's mean, and stream s scores Y - beta_s (f - E f), with beta_s
+fitted by least squares on the other streams only (cross-fitting keeps the
+mean unbiased; a single stream is not adjusted).  The standard error is that
+of the adjusted scores, and 0 when they all lie within 64 ulp of their largest
+magnitude, the round-off convention of ``thresholds._root``.
+
+A chunk holds as many samples as keep its widest kernel call within
+``_MAX_BLOCKS`` blocks, which bounds memory by bytes, not by samples; a sample
+wider than that (Steane from level 8) makes a chunk alone.  Streams are seeded
+by (seed, stream), so results are deterministic for a fixed stream count
+regardless of thread count.
 """
 
 from __future__ import annotations
@@ -22,14 +34,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import ensemble
 from .channels import HAD4, ChannelError, PauliProbVec, row_entropy
-from .codes import StabilizerCode
+from .codes import StabilizerCode, qubit_automorphisms
 from .levelmap import _coset_map_batch, _conditional, coset_map_probs
 
 __all__ = ["MCEstimate", "mc_concatenate"]
 
 #: Cap on blocks per kernel call: 8 MiB per kernel array for Steane.
 _MAX_BLOCKS = 4096
+
+#: Most rows of a level-2 sampling table, counted before it is built; above
+#: it the table is level 1.  Steane depolarizing holds 59,520 (2.3 MiB).
+_MAX_TABLE_ROWS = 1 << 20
+
+#: Scores this many ulp of their largest magnitude apart differ by round-off.
+_ROUNDOFF_ULP = 64
 
 
 @dataclass(frozen=True)
@@ -50,16 +70,62 @@ class _Registry:
     def register(self, row): ...
 
 
+@dataclass(frozen=True)
+class _Table:
+    """Channels of exact level ``level``: weights, cumulative weights, rows and
+    each row's control-variate features (H, H^2)."""
+
+    level: int
+    weights: np.ndarray
+    cum: np.ndarray
+    rows: np.ndarray
+    features: np.ndarray
+
+
+def _level_two_fits(code: StabilizerCode, child: ensemble.ChannelEnsemble) -> bool:
+    """Whether the level table over child holds at most _MAX_TABLE_ROWS rows.
+
+    Orbits are counted (the cached table the build reads) only when their
+    lower bound, ordered assignments over the group order, fits.
+    """
+    ordered, group = child.size ** code.n, len(qubit_automorphisms(code))
+    if ordered > ensemble.BUDGET or ordered // group * code.n_syndromes > _MAX_TABLE_ROWS:
+        return False
+    orbits = ensemble._orbit_table(code, child.size)[1].size if group > 1 else ordered
+    return orbits * code.n_syndromes <= _MAX_TABLE_ROWS
+
+
+def _sampling_table(code: StabilizerCode, base_noise: PauliProbVec, levels: int) -> _Table:
+    """The table a level-``levels`` estimate draws its bottom channels from."""
+    child = ensemble.concatenate_exact(code, base_noise, 1) if levels >= 3 else None
+    if child is not None and _level_two_fits(code, child):
+        level, chunks = 2, ensemble._level_chunks(code, child)
+    else:
+        # the raw noise, not its normalized singleton ensemble: level 1 keeps its bits
+        level, chunks = 1, [(np.ones(1), *_conditional(coset_map_probs(code, base_noise)[None]))]
+    weights, rows = [], []
+    for assign_w, syn_w, cond in chunks:
+        w = (assign_w[:, None] * syn_w).reshape(-1)
+        keep = w > 0.0
+        weights.append(w[keep])
+        rows.append(cond.reshape(-1, 4)[keep])
+    weights, rows = np.concatenate(weights), np.concatenate(rows)
+    cum = np.cumsum(weights)
+    cum[-1] = 1.0
+    h = row_entropy(rows)
+    table = _Table(level, weights, cum, rows, np.column_stack([h, h * h]))
+    for array in (weights, cum, rows, table.features):
+        array.setflags(write=False)  # the streams share it
+    return table
+
+
 class _StreamWorker:
     """One independent sampling stream."""
 
-    def __init__(self, code: StabilizerCode, base_noise: PauliProbVec,
-                 levels: int):
+    def __init__(self, code: StabilizerCode, table: _Table, levels: int):
         self.code = code
+        self.table = table
         self.levels = levels
-        w1, self.rows1 = _conditional(coset_map_probs(code, base_noise))
-        self.cum1 = np.cumsum(w1)
-        self.cum1[-1] = 1.0
 
     # wrapped by bench/worker.py until ROADMAP item 1; never called
     def _node_maps(self, keys): ...
@@ -69,26 +135,45 @@ class _StreamWorker:
         diags = (rows.reshape(-1, 4) @ HAD4.T).reshape(-1, self.code.n, 4)
         return _conditional(_coset_map_batch(self.code, diags))
 
-    def run(self, n_samples: int, rng: np.random.Generator) -> np.ndarray:
-        n, levels = self.code.n, self.levels
-        chunk = max(1, _MAX_BLOCKS // n ** max(levels - 2, 0))
+    def run(self, n_samples: int, rng: np.random.Generator):
+        """Scores of n_samples samples, and the summed table features of their draws."""
+        n, levels, table = self.code.n, self.levels, self.table
+        kernel_levels = levels - table.level  # the root's included
+        chunk = max(1, _MAX_BLOCKS // n ** max(kernel_levels - 1, 0))
         ent = np.empty(n_samples)
+        features = np.empty((n_samples, 2))
         for start in range(0, n_samples, chunk):
             s = min(chunk, n_samples - start)
-            u = rng.random((s, n ** (levels - 1)))
-            rows = self.rows1[np.searchsorted(self.cum1, u, side="right")]
-            for _ in range(levels - 2):
+            idx = np.searchsorted(table.cum, rng.random((s, n ** kernel_levels)),
+                                  side="right")
+            rows = table.rows[idx]
+            features[start:start + s] = table.features[idx].sum(axis=1)
+            for _ in range(kernel_levels - 1):
                 w, cond = self._maps(rows)
                 cum = np.cumsum(w, axis=1)
                 cum[:, -1] = 1.0
                 beta = (cum <= rng.random(len(cum))[:, None]).sum(axis=1)
                 rows = cond[np.arange(len(cond)), beta]
-            if levels == 1:
+            if kernel_levels == 0:
                 ent[start:start + s] = row_entropy(rows.reshape(s, 4))
             else:
                 w, cond = self._maps(rows)
                 ent[start:start + s] = (w * row_entropy(cond)).sum(axis=1)
-        return ent
+        return ent, features
+
+
+def _cross_fitted(ents, features, mean_f: np.ndarray) -> np.ndarray:
+    """Each stream's scores minus beta (f - mean_f), beta fitted on the other streams."""
+    if len(ents) == 1:
+        return ents[0]
+    y_all, f_all = np.concatenate(ents), np.concatenate(features)
+    stream = np.repeat(np.arange(len(ents)), [len(y) for y in ents])
+    out = []
+    for s, (y, f) in enumerate(zip(ents, features)):
+        fo, yo = f_all[stream != s], y_all[stream != s]
+        beta = np.linalg.lstsq(fo - fo.mean(axis=0), yo - yo.mean(), rcond=None)[0]
+        out.append(y - (f - mean_f) @ beta)
+    return np.concatenate(out)
 
 
 def mc_concatenate(
@@ -111,9 +196,10 @@ def mc_concatenate(
     streams = min(max(1, streams), samples)
 
     counts = [samples // streams + (s < samples % streams) for s in range(streams)]
+    table = _sampling_table(code, base_noise, levels)
 
     def run_one(s: int):
-        worker = _StreamWorker(code, base_noise, levels)
+        worker = _StreamWorker(code, table, levels)
         rng = np.random.default_rng([seed, s])
         return worker.run(counts[s], rng)
 
@@ -123,7 +209,13 @@ def mc_concatenate(
     else:
         results = [run_one(s) for s in range(streams)]
 
-    ent = np.concatenate(results)
-    spread = ent.std(ddof=1) if np.ptp(ent) > 0.0 else 0.0  # equal entropies: 0, not round-off
+    ents, features = zip(*results)
+    if levels == 1:
+        ent = np.concatenate(ents)
+    else:
+        mean_f = code.n ** (levels - table.level) * (table.weights @ table.features)
+        ent = _cross_fitted(ents, features, mean_f)
+    roundoff = np.ptp(ent) <= _ROUNDOFF_ULP * np.finfo(float).eps * np.abs(ent).max()
+    spread = 0.0 if roundoff else ent.std(ddof=1)
     se = float(spread / np.sqrt(samples)) if samples > 1 else float("inf")
     return MCEstimate(float(ent.mean()), se, samples, int(seed))

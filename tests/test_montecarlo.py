@@ -11,7 +11,9 @@ from concatqec import (
     noise_family,
 )
 from concatqec import montecarlo
+from concatqec.ensemble import exact_level_entropy
 from concatqec.reference import REFERENCE_TABLES
+from conftest import random_code
 
 
 def test_deterministic_for_fixed_seed(codes):
@@ -61,14 +63,63 @@ def test_matches_exact_level_two(codes):
     assert abs(est.mean_entropy - exact) < 3.0 * est.std_error
 
 
+def _five_qubit_level_three_p_star():
+    cell = next(c for c in REFERENCE_TABLES
+                if (c.code, c.family, c.level) == ("five-qubit", "depolarizing", 3))
+    return cell.p_star
+
+
 def test_matches_exact_level_three_at_quoted_crossing(codes):
     # the exact level-3 entropy at the quoted p* is 1 bit within about 4e-8
     # (test_five_qubit_depolarizing_level3_cell_brackets_quoted_value)
-    cell = next(c for c in REFERENCE_TABLES
-                if (c.code, c.family, c.level) == ("five-qubit", "depolarizing", 3))
-    noise = noise_family("depolarizing", cell.p_star)
+    noise = noise_family("depolarizing", _five_qubit_level_three_p_star())
     est = mc_concatenate(codes["five-qubit"], noise, 3, 4000, seed=0)
     assert abs(est.mean_entropy - 1.0) < 3.0 * est.std_error
+
+
+def test_level_three_is_calibrated_over_seeds(codes):
+    # exact level-3 entropy 1 bit within about 4e-8, five orders of magnitude
+    # below the standard errors here
+    noise = noise_family("depolarizing", _five_qubit_level_three_p_star())
+    z = []
+    for seed in range(12):
+        est = mc_concatenate(codes["five-qubit"], noise, 3, 2000, seed=seed)
+        z.append((est.mean_entropy - 1.0) / est.std_error)
+    assert np.sqrt(np.mean(np.square(z))) <= 1.5
+    assert np.max(np.abs(z)) <= 4.0
+
+
+def test_sampling_table_is_the_exact_level(codes, random_codes):
+    noise = PauliProbVec.from_array(np.array([0.9, 0.04, 0.025, 0.035]))
+    for code in [*codes.values(), *random_codes]:
+        level1 = concatenate_exact(code, noise, 1)
+        for levels, exact in ((2, ensemble_entropy(level1)),
+                              (3, exact_level_entropy(code, level1))):
+            table = montecarlo._sampling_table(code, noise, levels)
+            assert table.level == levels - 1
+            assert table.weights.sum() == pytest.approx(1.0, abs=1e-12)
+            assert table.weights @ table.features[:, 0] == pytest.approx(exact, abs=1e-12)
+
+
+def test_level_three_falls_back_to_the_level_one_table(codes, monkeypatch):
+    # exact level-3 entropy 1 bit within about 4e-8 (see above)
+    code = codes["five-qubit"]
+    noise = noise_family("depolarizing", _five_qubit_level_three_p_star())
+    monkeypatch.setattr(montecarlo, "_MAX_TABLE_ROWS", 1)
+    assert montecarlo._sampling_table(code, noise, 3).level == 1
+    est = mc_concatenate(code, noise, 3, 4000, seed=4)
+    assert abs(est.mean_entropy - 1.0) < 3.0 * est.std_error
+
+
+def test_round_off_spread_gives_zero_standard_error():
+    # this code leaves the logical qubit unencoded: every sample has the same
+    # entropy in exact arithmetic, and the draws differ in the last bits only
+    code = random_code(3, 1)
+    noise = noise_family("depolarizing", 0.05)
+    exact = ensemble_entropy(concatenate_exact(code, noise, 2))
+    est = mc_concatenate(code, noise, 2, 2000, seed=1)
+    assert est.std_error == 0.0
+    assert est.mean_entropy == pytest.approx(exact, abs=64 * np.finfo(float).eps)
 
 
 def test_matches_exact_level_two_on_random_codes(random_codes):
@@ -93,7 +144,7 @@ def test_kernel_calls_stay_within_the_block_cap(codes, monkeypatch):
         return real(code, diags)
 
     monkeypatch.setattr(montecarlo, "_coset_map_batch", recording)
-    mc_concatenate(codes["steane"], noise_family("depolarizing", 0.0627), 4, 200,
+    mc_concatenate(codes["steane"], noise_family("depolarizing", 0.0627), 4, 1200,
                    seed=0, streams=1)
     assert max(blocks) <= montecarlo._MAX_BLOCKS
     assert len(blocks) > 3  # one call per kernel level and chunk: more than one chunk

@@ -82,6 +82,7 @@ class StabilizerCode:
     logical_z: PauliString
     representatives: tuple[PauliString, ...] = field(
         init=False, repr=False, compare=False)
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ops = (*self.generators, self.logical_x, self.logical_z)
@@ -112,6 +113,13 @@ class StabilizerCode:
         object.__setattr__(
             self, "representatives",
             _min_weight_representatives(self.n, self.generators))
+        # Cached: every kernel call looks its tables up by code.  The name is
+        # left out, so the value does not depend on the string-hash seed.
+        object.__setattr__(self, "_hash", hash(
+            (self.n, self.distance, self.generators, self.logical_x, self.logical_z)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def n_syndromes(self) -> int:

@@ -47,6 +47,9 @@ GENERAL_ORACLE_MAX_QUBITS = 3
 
 _CLS_TABLE = np.array([[0, 3], [1, 2]], dtype=np.int64)
 
+#: Inverse of the probability-to-diagonal transform HAD4.
+_H4 = HAD4 / 4.0
+
 #: Pauli X and Z as dense matrices, for :func:`pauli_matrix`.
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -133,7 +136,7 @@ def _coset_map_batch(code: StabilizerCode, diags: np.ndarray) -> np.ndarray:
         prod *= per_qubit[j][letters[j]]
     d = np.matmul(prod.transpose(0, 2, 1), walsh)
     # class-major memory: the reductions over classes downstream stay strided adds
-    p = (HAD4 / 4.0) @ d.reshape(4, -1)
+    p = _H4 @ d.reshape(4, -1)
     return np.maximum(p.reshape(4, k, code.n_syndromes).transpose(1, 2, 0), 0.0)
 
 
@@ -205,8 +208,17 @@ def coset_map_enumerate(code: StabilizerCode, noise) -> np.ndarray:
 
 
 def _blind_step(code: StabilizerCode, diag: np.ndarray) -> np.ndarray:
-    """:func:`blind_map` on arrays: a superoperator diagonal in, probabilities out."""
-    return _coset_map_batch(code, np.broadcast_to(diag, (1, code.n, 4)))[0].sum(axis=0)
+    """:func:`blind_map` on arrays: a superoperator diagonal in, probabilities out.
+
+    The one-block form of :func:`_coset_map_batch` with its syndromes summed:
+    the same products, transform and clipping in the same order, so the
+    result equals the batched kernel's bit for bit, without the batch's
+    broadcasts, gathers and transposes, which dominate the cost of one block.
+    """
+    letters, walsh = _code_tables(code)
+    prod = np.prod(diag[letters], axis=0)
+    d = np.matmul(prod[:, None, :], walsh)[:, 0, :]
+    return np.maximum(_H4 @ d, 0.0).sum(axis=1)
 
 
 def blind_map(code: StabilizerCode, p: PauliProbVec) -> PauliProbVec:

@@ -254,23 +254,28 @@ def unoptimized_threshold(
 
     Below the threshold the iterates of :func:`blind_map` converge to the
     identity channel (all superoperator diagonals above 1 - 1e-9); above it
-    they approach a non-identity fixed point or cycle, detected by iterate
-    stagnation away from the identity or by a cap of 20,000 iterations.
-    The iterates stay plain probability arrays, stepped by the array form of
-    :func:`blind_map` with the same arithmetic.
+    they approach a non-identity fixed point or a cycle.  An iterate within
+    1e-14 of one of the three before it ends the probe as non-convergent:
+    that catches fixed points and cycles of period 2 or 3, which codes whose
+    recovery permutes the logical classes reach; anything else stops at a
+    cap of 20,000 iterations.  The iterates stay plain probability arrays,
+    stepped by the one-block array form of :func:`blind_map`, which has the
+    same arithmetic.
     """
     lo, hi = _bracket(family)
 
     def converges(p: float) -> bool:
         prev = noise_family(family, p).as_array()
-        for _ in range(20_000):
+        recent = np.tile(prev, (3, 1))  # the last three iterates
+        for k in range(20_000):
             d = HAD4 @ prev
             if d[1:].min() > 1.0 - 1e-9:
                 return True
             cur = _blind_step(code, d)
             cur /= cur.sum()  # keep float drift out of the fixed-point test
-            if np.abs(cur - prev).max() < 1e-14:
+            if np.abs(cur - recent).max(axis=1).min() < 1e-14:
                 return False
+            recent[k % 3] = cur
             prev = cur
         return False
 

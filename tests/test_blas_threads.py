@@ -13,7 +13,8 @@ import concatqec
 SCRIPT = """
 import hashlib
 from concatqec import (
-    concatenate_exact, exact_level_entropy, get_code, mc_concatenate, noise_family)
+    concatenate_exact, exact_level_entropy, get_code, mc_concatenate, noise_family,
+    unoptimized_threshold)
 steane = get_code("steane")
 child = concatenate_exact(steane, noise_family("depolarizing", 0.0627), 1)
 print(repr(exact_level_entropy(steane, child)))
@@ -21,6 +22,7 @@ ens = concatenate_exact(steane, noise_family("indep-flips", 0.1095), 2)
 print(hashlib.sha256(ens.channels.tobytes() + ens.weights.tobytes()).hexdigest())
 est = mc_concatenate(steane, noise_family("depolarizing", 0.0627), 2, 400, seed=7)
 print(repr(est.mean_entropy), repr(est.std_error))
+print(repr(unoptimized_threshold(steane, "depolarizing").p_star))
 """
 
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -39,5 +41,5 @@ def _run(threads):
 
 def test_results_identical_across_blas_threads():
     one = _run(1)
-    assert len(one.splitlines()) == 3
+    assert len(one.splitlines()) == 4
     assert _run(2) == one

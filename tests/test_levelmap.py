@@ -14,7 +14,7 @@ from concatqec import (
     general_map_oracle,
 )
 from concatqec.codes import get_code
-from concatqec.levelmap import BlockNoise, _coset_map_batch
+from concatqec.levelmap import BlockNoise, _blind_step, _coset_map_batch
 from concatqec.channels import HAD4, KLEIN
 from conftest import random_code
 
@@ -104,6 +104,20 @@ def test_random_code_batch_kernel_matches_enumeration(random_codes):
     rng = np.random.default_rng(31)
     for code in [*random_codes, random_code(8, 0)]:
         _assert_batch_matches_enumeration(code, _kernel_blocks(code.n, rng))
+
+
+def test_blind_step_matches_batch_kernel_and_enumeration(codes, random_codes):
+    # the one-block kernel repeats the batched arithmetic, so it must agree
+    # bit for bit; the enumeration is the structurally independent oracle
+    rng = np.random.default_rng(37)
+    for code in [*codes.values(), *random_codes]:
+        for probs in _kernel_blocks(1, rng, k=8)[:, 0]:
+            diag = HAD4 @ probs
+            got = _blind_step(code, diag)
+            batch = _coset_map_batch(code, np.broadcast_to(diag, (1, code.n, 4)))
+            assert got.tobytes() == batch[0].sum(axis=0).tobytes(), code.name
+            want = coset_map_enumerate(code, PauliProbVec.from_array(probs))
+            assert np.abs(got - want.sum(axis=0)).max() < 1e-12, code.name
 
 
 def test_bitflip2_syndrome_channels_closed_form(codes):

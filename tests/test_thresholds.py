@@ -20,11 +20,15 @@ from concatqec import ensemble as ensemble_module
 from concatqec import thresholds as thresholds_module
 from concatqec.channels import HAD4
 from concatqec.reference import EXACT_RTOL, REFERENCE_TABLES
+from conftest import random_code
 
 # roots of H(noise(p)) = 1 bit, frozen from an independent extended-precision
 # bisection of the closed-form channel entropies
 DEP_LEVEL0 = 6.309654163841059e-2      # h(3p) + 3p log2(3) = 1
 INDEP_LEVEL0 = 1.100278644383595e-1    # 2 h(p) = 1
+# unoptimized threshold of random_code(3, 1) under indep-flips at tol 1e-6,
+# as found by running every probe to the 20,000-iteration cap: 2^-21
+P_STAR_CYCLING = 4.76837158203125e-07
 
 
 def test_level0_depolarizing_root():
@@ -236,11 +240,16 @@ def test_root_interior_evaluations_bounded(shape, tol):
     assert abs(p - root) <= tol + 2 * math.ulp(root)
 
 
-def test_unoptimized_threshold_is_plain_bisection(codes):
-    code = codes["five-qubit"]
+@pytest.mark.parametrize("name,family", [
+    ("five-qubit", "depolarizing"), ("five-qubit", "indep-flips"),
+    ("steane", "depolarizing"), ("steane", "indep-flips")])
+def test_unoptimized_threshold_is_plain_bisection(codes, name, family):
+    # the reference stops only on consecutive iterates: on the bundled codes
+    # the cycle check of unoptimized_threshold must change no probe
+    code = codes[name]
 
     def converges(p):
-        prev = noise_family("depolarizing", p).as_array()
+        prev = noise_family(family, p).as_array()
         for _ in range(20_000):
             if (HAD4 @ prev)[1:].min() > 1.0 - 1e-9:
                 return True
@@ -251,10 +260,27 @@ def test_unoptimized_threshold_is_plain_bisection(codes):
             prev = cur
         return False
 
-    expected = _plain_bisection(lambda p: -1.0 if converges(p) else 1.0,
-                                0.0, 1.0 / 3.0, 1e-8)
-    cp = unoptimized_threshold(code, "depolarizing", tol=1e-8)
+    lo, hi = thresholds_module._bracket(family)
+    expected = _plain_bisection(lambda p: -1.0 if converges(p) else 1.0, lo, hi, 1e-8)
+    cp = unoptimized_threshold(code, family, tol=1e-8)
     assert cp.p_star == expected
+
+
+def test_unoptimized_threshold_detects_blind_map_cycles(monkeypatch):
+    # random_code(3, 1) has distance 1 and a recovery that permutes the
+    # logical classes: under indep-flips the blind iterates alternate between
+    # two channels, so without the cycle check every probe runs to the cap
+    real = thresholds_module._blind_step
+    calls = []
+
+    def counting(code, diag):
+        calls.append(None)
+        return real(code, diag)
+
+    monkeypatch.setattr(thresholds_module, "_blind_step", counting)
+    cp = unoptimized_threshold(random_code(3, 1), "indep-flips", tol=1e-6)
+    assert len(calls) <= 200
+    assert cp.p_star == P_STAR_CYCLING
 
 
 @pytest.mark.parametrize("name", ["five-qubit", "steane"])

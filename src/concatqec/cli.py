@@ -3,14 +3,16 @@
 Three subcommands: ``entropy`` evaluates the mean conditional entropy of a
 configured channel or ensemble, ``threshold`` locates critical noise
 parameters per concatenation level, and ``reproduce-tables`` recomputes the
-bundled reference tables and reports per-cell pass/fail.
+bundled reference tables and reports per-cell pass/fail; ``--levels N`` adds
+the sampled cells up to level N, run by Monte Carlo.  Each subcommand accepts
+only the flags it reads.
 
 Options may come from a JSON config file (``--config`` or the CONCATQEC_CONFIG
-environment variable); explicit flags override file values, and every run
-echoes its resolved configuration into the output header.  Output is CSV
-(fixed column order) or JSON (versioned schema); identical configurations and
-seeds produce byte-identical files.  Exit codes: 0 success, 1 computation or
-comparison failure, 2 usage error.
+environment variable) holding any RunConfig field; explicit flags override
+file values, and every run echoes its resolved configuration into the output
+header.  Output is CSV (fixed column order) or JSON (versioned schema);
+identical configurations and seeds produce byte-identical files.  Exit codes:
+0 success, 1 computation or comparison failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -64,7 +66,6 @@ class RunConfig:
     out: str | None = None
     threads: int = 1
     unoptimized: bool = False
-    with_mc: bool = False
     dry_run: bool = False
 
 
@@ -258,8 +259,7 @@ def _plan(cell: ReferenceCell, config: RunConfig) -> tuple[str, str]:
         return "unoptimized", "iterated map bisection, seconds"
     if cell.exact:
         return "exact", "exact enumeration, seconds"
-    return "auto", (f"~{config.samples} samples x {cell.level} levels; "
-                    "exact when within budget")
+    return "mc", f"~{config.samples} samples x {cell.level} levels"
 
 
 def _run_cell(cell: ReferenceCell, config: RunConfig) -> dict:
@@ -297,12 +297,44 @@ def _run_cell(cell: ReferenceCell, config: RunConfig) -> dict:
 
 
 def _cmd_reproduce_tables(config: RunConfig) -> tuple[list[dict], int]:
-    cells = exact_cells()
-    if config.with_mc:
-        cells = cells + sampled_cells()
+    cells = exact_cells() + [c for c in sampled_cells() if c.level <= config.levels]
     rows = [_run_cell(cell, config) for cell in cells]
     failed = any(row["status"] == "FAIL" for row in rows)
     return rows, 1 if failed else 0
+
+
+#: argparse settings of each flag, keyed by the RunConfig field it sets.
+_FLAGS = {
+    "code": dict(help="builtin code name"),
+    "family": dict(help="noise family name"),
+    "p": dict(type=float, help="noise parameter"),
+    "levels": dict(type=int),
+    "method": dict(choices=("exact", "mc", "auto")),
+    "samples": dict(type=int, help="Monte Carlo sample count"),
+    "seed": dict(type=int, help="Monte Carlo seed"),
+    "target_entropy": dict(type=float, help="entropy crossing target in bits"),
+    "tol": dict(type=float, help="root bracket width tolerance"),
+    "format": dict(choices=("csv", "json")),
+    "out": dict(help="output path (default: stdout)"),
+    "threads": dict(type=int, help=(
+        "Monte Carlo worker threads; exact computations run in one thread")),
+    "unoptimized": dict(action="store_const", const=True,
+                        help="fixed-point threshold of the blind map"),
+    "dry_run": dict(action="store_const", const=True,
+                    help="list planned cells, compute nothing"),
+}
+
+#: Per subcommand: its help, its --levels help, and the RunConfig fields it reads.
+_SUBCOMMANDS = {
+    "entropy": ("mean conditional entropy", "concatenation levels",
+                "code family p levels method samples seed format out threads"),
+    "threshold": ("critical noise parameters", "one row per level, 0 to this one",
+                  "code family levels method samples seed target_entropy tol "
+                  "format out threads unoptimized"),
+    "reproduce-tables": ("recompute the bundled reference tables",
+                         "also run the sampled cells up to this level (default 0: none)",
+                         "levels samples seed tol format out threads dry_run"),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -310,41 +342,14 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="concatqec",
         description="Entropy thresholds of adaptively concatenated stabilizer codes.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser):
+    for command, (help_, levels_help, names) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help=(
             "JSON config file with defaults for any option "
             f"(also read from ${CONFIG_ENV_VAR})"))
-        p.add_argument("--code", help="builtin code name")
-        p.add_argument("--family", help="noise family name")
-        p.add_argument("--p", type=float, help="noise parameter")
-        p.add_argument("--levels", type=int, help="concatenation levels")
-        p.add_argument("--method", choices=("exact", "mc", "auto"))
-        p.add_argument("--samples", type=int, help="Monte Carlo sample count")
-        p.add_argument("--seed", type=int, help="Monte Carlo seed")
-        p.add_argument("--target-entropy", dest="target_entropy", type=float,
-                       help="entropy crossing target in bits")
-        p.add_argument("--tol", type=float, help="root bracket width tolerance")
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--threads", type=int, help=(
-            "Monte Carlo worker threads; exact computations run in one thread"))
-
-    p_entropy = sub.add_parser("entropy", help="mean conditional entropy")
-    add_common(p_entropy)
-
-    p_threshold = sub.add_parser("threshold", help="critical noise parameters")
-    add_common(p_threshold)
-    p_threshold.add_argument("--unoptimized", action="store_const", const=True,
-                             help="fixed-point threshold of the blind map")
-
-    p_tables = sub.add_parser("reproduce-tables",
-                              help="recompute the bundled reference tables")
-    add_common(p_tables)
-    p_tables.add_argument("--with-mc", dest="with_mc", action="store_const",
-                          const=True, help="include sampled deep-level cells")
-    p_tables.add_argument("--dry-run", dest="dry_run", action="store_const",
-                          const=True, help="list planned cells, compute nothing")
+        for name in names.split():
+            flag = dict(_FLAGS[name], help=levels_help) if name == "levels" else _FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, **flag)
     return parser
 
 

@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import HAD4, KLEIN, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode, qubit_automorphisms
-from .levelmap import _conditional, _coset_map_batch
+from .levelmap import _MAX_BLOCKS, _conditional, _coset_map_batch
 
 __all__ = [
     "DEDUP_TOL",
@@ -48,9 +48,6 @@ DEDUP_TOL = 1e-10
 PRUNE_FLOOR = 1e-15
 #: Most ordered assignments one exact level may enumerate.
 BUDGET = 10 ** 7
-
-#: Assignments are pushed through the level map in batches of this many.
-_CHUNK = 4096
 
 #: Assignment numbers are scanned for orbit representatives this many at a time.
 _ORBIT_CHUNK = 1 << 16
@@ -213,8 +210,8 @@ def _ordered_chunks(code: StabilizerCode, child: ChannelEnsemble):
     strides = size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
     diag = child.channels @ HAD4.T
     total = size ** code.n
-    for start in range(0, total, _CHUNK):
-        t = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
+    for start in range(0, total, _MAX_BLOCKS):
+        t = np.arange(start, min(start + _MAX_BLOCKS, total), dtype=np.int64)
         idx = (t[:, None] // strides) % size
         yield child.weights[idx].prod(axis=1), diag[idx]
 
@@ -268,9 +265,9 @@ def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble):
         return
     entries, mult = _orbit_table(code, child.size)
     diag = child.channels @ HAD4.T
-    for start in range(0, mult.size, _CHUNK):
-        idx = entries[start:start + _CHUNK]
-        yield mult[start:start + _CHUNK] * child.weights[idx].prod(axis=1), diag[idx]
+    for start in range(0, mult.size, _MAX_BLOCKS):
+        idx = entries[start:start + _MAX_BLOCKS]
+        yield mult[start:start + _MAX_BLOCKS] * child.weights[idx].prod(axis=1), diag[idx]
 
 
 def _level_chunks(code: StabilizerCode, child: ChannelEnsemble):

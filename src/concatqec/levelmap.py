@@ -50,6 +50,9 @@ _CLS_TABLE = np.array([[0, 3], [1, 2]], dtype=np.int64)
 #: Inverse of the probability-to-diagonal transform HAD4.
 _H4 = HAD4 / 4.0
 
+#: Most blocks per :func:`_coset_map_batch` call: 8 MiB per kernel array for Steane.
+_MAX_BLOCKS = 4096
+
 #: Pauli X and Z as dense matrices, for :func:`pauli_matrix`.
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Z = np.array([[1, 0], [0, -1]], dtype=complex)

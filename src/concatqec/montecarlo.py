@@ -37,19 +37,17 @@ import numpy as np
 from . import ensemble
 from .channels import HAD4, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode, qubit_automorphisms
-from .levelmap import _coset_map_batch, _conditional, coset_map_probs
+from .levelmap import _MAX_BLOCKS, _coset_map_batch, _conditional, coset_map_probs
 
 __all__ = ["MCEstimate", "mc_concatenate"]
-
-#: Cap on blocks per kernel call: 8 MiB per kernel array for Steane.
-_MAX_BLOCKS = 4096
 
 #: Most rows of a level-2 sampling table, counted before it is built; above
 #: it the table is level 1.  Steane depolarizing holds 59,520 (2.3 MiB).
 _MAX_TABLE_ROWS = 1 << 20
 
-#: Scores this many ulp of their largest magnitude apart differ by round-off.
-_ROUNDOFF_ULP = 64
+#: Values this far apart, relative to their largest magnitude, differ by
+#: round-off (64 ulp); ``thresholds._root`` uses it too.
+_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -215,7 +213,7 @@ def mc_concatenate(
     else:
         mean_f = code.n ** (levels - table.level) * (table.weights @ table.features)
         ent = _cross_fitted(ents, features, mean_f)
-    roundoff = np.ptp(ent) <= _ROUNDOFF_ULP * np.finfo(float).eps * np.abs(ent).max()
+    roundoff = np.ptp(ent) <= _ROUNDOFF * np.abs(ent).max()
     spread = 0.0 if roundoff else ent.std(ddof=1)
     se = float(spread / np.sqrt(samples)) if samples > 1 else float("inf")
     return MCEstimate(float(ent.mean()), se, samples, int(seed))

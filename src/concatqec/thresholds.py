@@ -23,7 +23,7 @@ from .codes import StabilizerCode
 from .ensemble import BudgetExceeded, concatenate_exact, exact_level_entropy
 # bench/worker.py traces thresholds.blind_map by name, so the name stays here.
 from .levelmap import _blind_step, blind_map
-from .montecarlo import mc_concatenate
+from .montecarlo import _ROUNDOFF, mc_concatenate
 
 __all__ = [
     "CriticalPoint",
@@ -106,7 +106,7 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     if g_hi == 0.0:
         return hi
     kappa1 = 0.2 / (hi - lo)
-    round_off = 64.0 * np.finfo(float).eps * max(1.0, abs(target))
+    round_off = _ROUNDOFF * max(1.0, abs(target))
     n_max = math.ceil(math.log2((hi - lo) / tol)) + 1
     for j in range(n_max):
         width = hi - lo

@@ -250,7 +250,7 @@ def test_criterion_7_closed_form_signs_as_quoted():
 
 def test_criterion_8_mc_within_three_sigma_of_exact():
     # Deeper levels, where no exact value fits in any budget, are exercised
-    # as a best-effort consistency run by scripts/run_deep_mc.py.
+    # as a best-effort consistency run by `concatqec reproduce-tables --levels N`.
     five = get_code("five-qubit")
     noise = noise_family("depolarizing", 0.063)
     for level in (1, 2):

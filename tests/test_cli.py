@@ -1,9 +1,12 @@
 import csv
+import dataclasses
 import json
 
 import pytest
 
+from concatqec import cli
 from concatqec.cli import COLUMNS, CONFIG_ENV_VAR, SCHEMA_VERSION, main
+from concatqec.reference import exact_cells, sampled_cells
 
 DEP_LEVEL0 = 6.309654163841059e-2
 
@@ -188,11 +191,22 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["entropy", "--family", "depolarizing"],  # missing --p
         ["entropy", "--family", "depolarizing", "--p", "0.1", "--levels", "1"],
         ["threshold", "--family", "depolarizing", "--levels", "2"],
-        ["entropy", "--family", "depolarizing", "--p", "0.1", "--tol", "0"],
+        ["threshold", "--family", "depolarizing", "--tol", "0"],
         ["entropy", "--family", "depolarizing", "--p", "0.1",
          "--seed", "-1"],
         ["entropy", "--no-such-flag"],
         ["no-such-command"],
+        # flags a subcommand does not read
+        ["entropy", "--family", "depolarizing", "--p", "0.1", "--tol", "1e-8"],
+        ["entropy", "--family", "depolarizing", "--p", "0.1",
+         "--target-entropy", "0.5"],
+        ["threshold", "--family", "depolarizing", "--p", "0.1"],
+        ["reproduce-tables", "--code", "steane"],
+        ["reproduce-tables", "--family", "depolarizing"],
+        ["reproduce-tables", "--p", "0.1"],
+        ["reproduce-tables", "--method", "mc"],
+        ["reproduce-tables", "--target-entropy", "0.5"],
+        ["reproduce-tables", "--with-mc"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as info:
@@ -205,6 +219,13 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         main(["entropy", "--config", str(bad), "--p", "0.1"])
     assert info.value.code == 2
     capsys.readouterr()
+    # a result file of the removed deep-cell switch names its key
+    stale = tmp_path / "stale.json"
+    stale.write_text(json.dumps({"config": {"with_mc": False}}))
+    with pytest.raises(SystemExit) as info:
+        main(["reproduce-tables", "--config", str(stale)])
+    assert info.value.code == 2
+    assert "'with_mc'" in capsys.readouterr().err
     with pytest.raises(SystemExit) as info:
         main(["entropy", "--config", str(tmp_path / "missing.json"),
               "--p", "0.1"])
@@ -252,29 +273,43 @@ def test_reproduce_tables_dry_run(capsys):
 
 def test_reproduce_tables_out_creates_missing_directory(capsys, tmp_path):
     path = tmp_path / "new" / "tables.csv"
-    code, out, _ = run(capsys, "reproduce-tables", "--out", str(path))
+    code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--out", str(path))
     assert code == 0
     assert out == ""
     _, header, rows = parse_csv(path.read_text())
     assert header == list(COLUMNS["reproduce-tables"])
     assert len(rows) == 17
-    assert all(r["status"] == "pass" for r in rows)
-    level3, = [r for r in rows if (r["code"], r["family"], r["level"])
-               == ("five-qubit", "depolarizing", "3")]
-    assert (level3["method"], level3["status"]) == ("exact", "pass")
 
 
-def test_reproduce_tables_dry_run_with_mc(capsys):
-    code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--with-mc")
+def test_reproduce_tables_fails_a_cell_outside_tolerance(capsys, monkeypatch):
+    # the computed table is checked cell by cell in tests/test_acceptance.py
+    # and in CI; here only the pass/FAIL rule and the exit code
+    level0 = next(c for c in exact_cells() if c.level == 0)
+    unoptimized = next(c for c in exact_cells() if c.level == -1)
+    shifted = dataclasses.replace(level0, p_star=level0.p_star * (1 + 1e-6))
+    monkeypatch.setattr(cli, "exact_cells", lambda: [level0, unoptimized, shifted])
+    code, out, _ = run(capsys, "reproduce-tables")
+    assert code == 1
+    _, _, rows = parse_csv(out)
+    assert [r["status"] for r in rows] == ["pass", "pass", "FAIL"]
+    assert [r["method"] for r in rows] == ["exact", "unoptimized", "exact"]
+
+
+@pytest.mark.parametrize("levels", [3, 7])
+def test_reproduce_tables_dry_run_sampled_cells(capsys, levels):
+    code, out, _ = run(capsys, "reproduce-tables", "--dry-run",
+                       "--levels", str(levels))
     assert code == 0
     _, _, rows = parse_csv(out)
-    assert len(rows) > 17
-    assert any(r["method"] == "auto" for r in rows)
+    sampled = rows[len(exact_cells()):]
+    assert len(sampled) == sum(c.level <= levels for c in sampled_cells())
+    assert max(int(r["level"]) for r in sampled) == levels
+    assert all(r["method"] == "mc" for r in sampled)
 
 
 def test_reproduce_tables_dry_run_plans_exact_level3_cell(capsys):
     # the five-qubit depolarizing level-3 cell is quoted exact and runs exact
-    code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--with-mc")
+    code, out, _ = run(capsys, "reproduce-tables", "--dry-run", "--levels", "7")
     assert code == 0
     _, _, rows = parse_csv(out)
     row, = [r for r in rows if (r["code"], r["family"], r["level"])

@@ -10,7 +10,7 @@ from concatqec import (
     mc_concatenate,
     noise_family,
 )
-from concatqec import montecarlo
+from concatqec import levelmap, montecarlo
 from concatqec.ensemble import exact_level_entropy
 from concatqec.reference import REFERENCE_TABLES
 from conftest import random_code
@@ -146,7 +146,7 @@ def test_kernel_calls_stay_within_the_block_cap(codes, monkeypatch):
     monkeypatch.setattr(montecarlo, "_coset_map_batch", recording)
     mc_concatenate(codes["steane"], noise_family("depolarizing", 0.0627), 4, 1200,
                    seed=0, streams=1)
-    assert max(blocks) <= montecarlo._MAX_BLOCKS
+    assert max(blocks) <= levelmap._MAX_BLOCKS
     assert len(blocks) > 3  # one call per kernel level and chunk: more than one chunk
 
 

@@ -4,15 +4,15 @@ Three subcommands: ``entropy`` evaluates the mean conditional entropy of a
 configured channel or ensemble, ``threshold`` locates critical noise
 parameters per concatenation level, and ``reproduce-tables`` recomputes the
 bundled reference tables and reports per-cell pass/fail; ``--levels N`` adds
-the sampled cells up to level N, run by Monte Carlo.  Each subcommand accepts
-only the flags it reads.
+the sampled cells up to level N, run by Monte Carlo.
 
-Options may come from a JSON config file (``--config`` or the CONCATQEC_CONFIG
-environment variable) holding any RunConfig field; explicit flags override
-file values, and every run echoes its resolved configuration into the output
-header.  Output is CSV (fixed column order) or JSON (versioned schema);
-identical configurations and seeds produce byte-identical files.  Exit codes:
-0 success, 1 computation or comparison failure, 2 usage error.
+Each run reads one list of RunConfig fields (``_SUBCOMMANDS``, or
+``_UNOPTIMIZED_READS`` under ``threshold --unoptimized``): flags and JSON
+config-file keys (``--config`` or CONCATQEC_CONFIG; flags win) may move only
+those from their defaults, and the output header echoes only those.  Output
+is CSV (fixed column order) or JSON (versioned schema); identical
+configurations and seeds produce byte-identical files.  Exit codes: 0 success,
+1 computation or comparison failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields
@@ -51,7 +52,7 @@ COLUMNS = {
 
 @dataclass
 class RunConfig:
-    """Resolved options of one CLI run; echoed into every output header."""
+    """Resolved options of one CLI run; the header echoes the ones it reads."""
 
     code: str | None = None
     family: str | None = None
@@ -93,7 +94,8 @@ def _load_config_file(path: str) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit flags."""
-    merged = asdict(RunConfig())
+    defaults = asdict(RunConfig())
+    merged = dict(defaults)
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     if path:
         file_values = _load_config_file(path)
@@ -108,11 +110,12 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
                 raise UsageError(f"config key {key!r} in {path} must be {kind}, "
                                  f"not {json.dumps(value)}")
             merged[key] = value
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
+    merged.update((k, v) for k, v in vars(args).items() if k in merged and v is not None)
     config = RunConfig(**merged)
+    run, reads = _reads(args.command, config)
+    unread = [repr(k) for k, v in merged.items() if k not in reads and v != defaults[k]]
+    if unread:
+        raise UsageError(f"{run} does not read {', '.join(unread)}; leave them at default")
     _validate(config, args.command)
     return config
 
@@ -140,9 +143,14 @@ def _validate(config: RunConfig, command: str) -> None:
         raise UsageError("--tol must be in (0, 1)")
     if config.threads < 1:
         raise UsageError("--threads must be >= 1")
+    if not math.isfinite(config.target_entropy):
+        raise UsageError("--target-entropy must be finite")
     if command == "entropy":
         if config.p is None:
             raise UsageError("entropy requires --p")
+        cap = NOISE_FAMILIES[config.family][1]
+        if not 0.0 <= config.p <= cap:
+            raise UsageError(f"--p must be in [0, {cap:.10g}] for {config.family}")
         if config.levels > 0 and config.code is None:
             raise UsageError("entropy above level 0 requires --code")
     if command == "threshold":
@@ -166,22 +174,21 @@ def _json_safe(value):
 
 def _render(command: str, config: RunConfig, rows: list[dict]) -> str:
     columns = COLUMNS[command]
+    echo = {k: _json_safe(getattr(config, k)) for k in _reads(command, config)[1]}
     if config.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": command,
-            "config": {k: _json_safe(v) for k, v in asdict(config).items()},
+            "config": echo,
             "results": [
                 {k: _json_safe(row.get(k)) for k in columns} for row in rows
             ],
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
     buf = io.StringIO()
-    echo = json.dumps({k: _json_safe(v) for k, v in asdict(config).items()},
-                      sort_keys=True)
     buf.write(f"# schema_version={SCHEMA_VERSION}\n")
     buf.write(f"# command={command}\n")
-    buf.write(f"# config={echo}\n")
+    buf.write(f"# config={json.dumps(echo, sort_keys=True)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -318,23 +325,33 @@ _FLAGS = {
     "out": dict(help="output path (default: stdout)"),
     "threads": dict(type=int, help=(
         "Monte Carlo worker threads; exact computations run in one thread")),
-    "unoptimized": dict(action="store_const", const=True,
-                        help="fixed-point threshold of the blind map"),
+    "unoptimized": dict(action="store_const", const=True, help=(
+        "blind-map fixed point; reads only --code --family --tol --format --out")),
     "dry_run": dict(action="store_const", const=True,
                     help="list planned cells, compute nothing"),
 }
 
-#: Per subcommand: its help, its --levels help, and the RunConfig fields it reads.
+#: Per subcommand: its handler, its help, its --levels help, the fields it reads.
 _SUBCOMMANDS = {
-    "entropy": ("mean conditional entropy", "concatenation levels",
+    "entropy": (_cmd_entropy, "mean conditional entropy", "concatenation levels",
                 "code family p levels method samples seed format out threads"),
-    "threshold": ("critical noise parameters", "one row per level, 0 to this one",
+    "threshold": (_cmd_threshold, "critical noise parameters",
+                  "one row per level, 0 to this one",
                   "code family levels method samples seed target_entropy tol "
                   "format out threads unoptimized"),
-    "reproduce-tables": ("recompute the bundled reference tables",
+    "reproduce-tables": (_cmd_reproduce_tables, "recompute the bundled reference tables",
                          "also run the sampled cells up to this level (default 0: none)",
                          "levels samples seed tol format out threads dry_run"),
 }
+#: The fields ``threshold --unoptimized`` reads; the blind map has no level or sampling.
+_UNOPTIMIZED_READS = "code family tol format out unoptimized"
+
+
+def _reads(command: str, config: RunConfig) -> tuple[str, list[str]]:
+    """The run's name and the fields it reads, accepts away from default and echoes."""
+    if command == "threshold" and config.unoptimized:
+        return "threshold --unoptimized", _UNOPTIMIZED_READS.split()
+    return command, _SUBCOMMANDS[command][3].split()
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -342,22 +359,15 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="concatqec",
         description="Entropy thresholds of adaptively concatenated stabilizer codes.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_, levels_help, names) in _SUBCOMMANDS.items():
+    for command, (_, help_, levels_help, names) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_)
         p.add_argument("--config", help=(
-            "JSON config file with defaults for any option "
+            "JSON config file of option values "
             f"(also read from ${CONFIG_ENV_VAR})"))
         for name in names.split():
             flag = dict(_FLAGS[name], help=levels_help) if name == "levels" else _FLAGS[name]
             p.add_argument("--" + name.replace("_", "-"), dest=name, **flag)
     return parser
-
-
-_COMMANDS = {
-    "entropy": _cmd_entropy,
-    "threshold": _cmd_threshold,
-    "reproduce-tables": _cmd_reproduce_tables,
-}
 
 
 def main(argv=None) -> int:
@@ -368,7 +378,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
     try:
-        rows, status = _COMMANDS[args.command](config)
+        rows, status = _SUBCOMMANDS[args.command][0](config)
     except (NoStraddle, BudgetExceeded, ChannelError, CodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -94,10 +94,13 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     step is the bisection midpoint.  Returns an endpoint where f equals
     target, or the first probe within round-off of it (64 eps max(1,
     |target|)), otherwise the interpolated point of the final bracket, which
-    is no wider than ``tol``, which must be positive and finite.
+    is no wider than ``tol``, which must be positive and finite; ``target``
+    must be finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, not {tol!r}")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, not {target!r}")
     g_lo, g_hi = f(lo) - target, f(hi) - target
     if not (g_lo <= 0.0 <= g_hi):
         raise NoStraddle(lo, hi, g_lo + target, g_hi + target, target)

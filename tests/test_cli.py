@@ -1,6 +1,9 @@
+import argparse
 import csv
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -207,6 +210,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["reproduce-tables", "--method", "mc"],
         ["reproduce-tables", "--target-entropy", "0.5"],
         ["reproduce-tables", "--with-mc"],
+        # values outside their valid range
+        ["entropy", "--family", "depolarizing", "--p", "0.5"],
+        ["entropy", "--family", "depolarizing", "--p", "-0.1"],
+        ["entropy", "--family", "depolarizing", "--p", "nan"],
+        ["threshold", "--family", "depolarizing", "--target-entropy", "nan"],
+        ["threshold", "--family", "depolarizing", "--target-entropy", "inf"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as info:
@@ -231,6 +240,117 @@ def test_usage_errors_exit_2(tmp_path, capsys):
               "--p", "0.1"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+UNOPTIMIZED = ("threshold", "--code", "five-qubit", "--family", "depolarizing",
+               "--unoptimized", "--tol", "1e-6")
+
+#: The four run kinds: the argv of a cheap run, and the fields that run reads.
+RUN_KINDS = {
+    "entropy": (("entropy", "--family", "depolarizing", "--p", "0.1"),
+                "code family p levels method samples seed format out threads"),
+    "threshold": (("threshold", "--family", "depolarizing", "--tol", "1e-6"),
+                  "code family levels method samples seed target_entropy tol "
+                  "format out threads unoptimized"),
+    "threshold --unoptimized": (UNOPTIMIZED, "code family tol format out unoptimized"),
+    "reproduce-tables": (("reproduce-tables", "--dry-run"),
+                         "levels samples seed tol format out threads dry_run"),
+}
+
+#: The threshold settings the blind map's fixed point does not read.
+IGNORED_BY_UNOPTIMIZED = {"levels": 5, "method": "mc", "samples": 7, "seed": 1,
+                          "target_entropy": 0.3, "threads": 2}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_header_echoes_the_fields_the_run_reads(capsys, kind, fmt):
+    argv, reads = RUN_KINDS[kind]
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        echoed = json.loads(out)["config"]
+    else:
+        echoed = json.loads(parse_csv(out)[0][2].removeprefix("# config="))
+    assert sorted(echoed) == sorted(reads.split())
+
+
+@pytest.mark.parametrize("kind", RUN_KINDS)
+def test_result_file_of_all_fields_at_default_replays(tmp_path, capsys, kind):
+    # result files used to echo every RunConfig field; the unread ones held
+    # their defaults, so those files still replay to the same data rows
+    argv, _ = RUN_KINDS[kind]
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    assert main([*argv, "--format", "json", "--out", str(first)]) == 0
+    doc = json.loads(first.read_text())
+    doc["config"] = {**dataclasses.asdict(cli.RunConfig()), **doc["config"]}
+    assert len(doc["config"]) == 14
+    first.write_text(json.dumps(doc))
+    assert main([argv[0], "--config", str(first), "--out", str(again)]) == 0
+    assert json.loads(again.read_text())["results"] == doc["results"]
+
+
+def _unread_cases():
+    for field, value in IGNORED_BY_UNOPTIMIZED.items():
+        flag = "--" + field.replace("_", "-")
+        yield pytest.param(UNOPTIMIZED + (flag, str(value)), {}, [field],
+                           id=f"unoptimized-flag-{field}")
+        yield pytest.param(UNOPTIMIZED, {field: value}, [field],
+                           id=f"unoptimized-config-{field}")
+    yield pytest.param(
+        UNOPTIMIZED + ("--levels", "5", "--method", "mc", "--samples", "7",
+                       "--target-entropy", "0.3"), {},
+        ["levels", "method", "samples", "target_entropy"], id="unoptimized-four-flags")
+    yield pytest.param(UNOPTIMIZED, {"dry_run": True, "p": 0.1}, ["p", "dry_run"],
+                       id="unoptimized-config")
+    yield pytest.param(
+        ("entropy", "--code", "five-qubit", "--family", "depolarizing", "--p", "0.06",
+         "--levels", "1"),
+        {"tol": 0.5, "target_entropy": 3.0, "unoptimized": True, "dry_run": True},
+        ["target_entropy", "tol", "unoptimized", "dry_run"], id="entropy-config")
+    yield pytest.param(RUN_KINDS["threshold"][0], {"p": 0.1, "dry_run": True},
+                       ["p", "dry_run"], id="threshold-config")
+    yield pytest.param(RUN_KINDS["reproduce-tables"][0],
+                       {"code": "steane", "method": "mc", "unoptimized": True},
+                       ["code", "method", "unoptimized"], id="reproduce-tables-config")
+
+
+@pytest.mark.parametrize("argv, values, named", _unread_cases())
+def test_unread_field_away_from_default_exits_2(tmp_path, capsys, argv, values, named):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    with pytest.raises(SystemExit) as info:
+        main([*argv, "--config", str(cfg)])
+    assert info.value.code == 2
+    assert re.findall(r"'(\w+)'", capsys.readouterr().err) == named
+
+
+def test_readme_flag_table_matches_parser():
+    subparsers = next(a for a in cli._build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {command: {a.dest: a for a in parser._actions if a.dest != "help"}
+             for command, parser in subparsers.items()}
+    unoptimized = cli._UNOPTIMIZED_READS.split() + ["config"]
+    flags["threshold --unoptimized"] = {
+        dest: a for dest, a in flags["threshold"].items() if dest in unoptimized}
+    columns = ["entropy", "threshold", "threshold --unoptimized", "reproduce-tables"]
+    assert sorted(flags) == sorted(columns)
+    expected = ["| flag | " + " | ".join(f"`{c}`" for c in columns) + " |",
+                "|---" * (len(columns) + 1) + "|"]
+    for dest in [f.name for f in dataclasses.fields(cli.RunConfig)] + ["config"]:
+        action = next(f[dest] for f in flags.values() if dest in f)
+        choices = " " + "\\|".join(action.choices) if action.choices else ""
+        cells = [f"`{action.option_strings[0]}{choices}`"]
+        cells += ["yes" if dest in flags[c] else "" for c in columns]
+        expected.append("|" + "|".join(f" {c} " if c else " " for c in cells) + "|")
+    readme = (Path(__file__).parents[1] / "README.md").read_text().splitlines()
+    start = readme.index(expected[0])
+    assert readme[start:start + len(expected)] == expected
+    assert not readme[start + len(expected)].startswith("|")
+    # --unoptimized names the flags it reads
+    help_ = flags["threshold"]["unoptimized"].help
+    assert re.findall(r"--[\w-]+", help_) == [
+        "--" + d.replace("_", "-") for d in unoptimized if d not in ("unoptimized", "config")]
 
 
 # the first key of each config holds the value of the wrong type

@@ -92,6 +92,12 @@ def test_root_rejects_tol_outside_positive_finite(codes, tol):
         unoptimized_threshold(codes["rep3"], "depolarizing", tol=tol)
 
 
+@pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+def test_root_rejects_non_finite_target(target):
+    with pytest.raises(ValueError, match="target"):
+        entropy_critical_p(None, "depolarizing", 0, target=target)
+
+
 def test_exact_method_propagates_budget(codes, monkeypatch):
     monkeypatch.setattr(ensemble_module, "BUDGET", 4)
     with pytest.raises(BudgetExceeded):

@@ -32,7 +32,8 @@ from .ensemble import BudgetExceeded
 from .montecarlo import mc_concatenate
 from .reference import ReferenceCell, exact_cells, sampled_cells
 from .thresholds import (
-    NoStraddle, _exact_entropy, entropy_critical_p, threshold_series, unoptimized_threshold)
+    NoStraddle, _by_method, _exact_entropy, entropy_critical_p, threshold_series,
+    unoptimized_threshold)
 
 __all__ = ["main", "RunConfig"]
 
@@ -207,30 +208,20 @@ def _emit(text: str, config: RunConfig) -> None:
 
 def _cmd_entropy(config: RunConfig) -> tuple[list[dict], int]:
     noise = noise_family(config.family, config.p)
-    row = {
-        "code": config.code,
-        "family": config.family,
-        "p": config.p,
-        "level": config.levels,
-        "method": "exact",
-        "entropy": None,
-        "std_error": 0.0,
-        "samples": None,
-        "seed": None,
-    }
     code = get_code(config.code) if config.code else None
-    if config.levels == 0 or config.method in ("exact", "auto"):
-        try:
-            row["entropy"] = _exact_entropy(code, noise, config.levels)
-            return [row], 0
-        except BudgetExceeded:
-            if config.method == "exact":
-                raise
-    est = mc_concatenate(code, noise, config.levels, config.samples,
-                         seed=config.seed, threads=config.threads)
-    row.update(method="mc", entropy=est.mean_entropy, std_error=est.std_error,
-               samples=est.samples, seed=config.seed)
-    return [row], 0
+
+    def exact() -> dict:
+        return dict(method="exact", entropy=_exact_entropy(code, noise, config.levels),
+                    std_error=0.0)
+
+    def mc() -> dict:
+        est = mc_concatenate(code, noise, config.levels, config.samples,
+                             seed=config.seed, threads=config.threads)
+        return dict(method="mc", entropy=est.mean_entropy, std_error=est.std_error,
+                    samples=est.samples, seed=config.seed)
+
+    row = dict(code=config.code, family=config.family, p=config.p, level=config.levels)
+    return [{**row, **_by_method(config.method, config.levels, exact, mc)}], 0
 
 
 def _point_row(cp, config: RunConfig) -> dict:

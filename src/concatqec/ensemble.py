@@ -271,16 +271,17 @@ def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble):
 
 
 def _level_chunks(code: StabilizerCode, child: ChannelEnsemble):
-    """Yield (assignment weights, syndrome weights, conditional rows) per chunk.
+    """Yield (joint weights, conditional rows), one per (assignment, syndrome).
 
-    The loop of both exact paths: the check against BUDGET, read at call
-    time, then the level map of each chunk of assignments.
+    The loop of every exact level: the check against BUDGET, read at call
+    time, then the level map of each chunk of assignments.  Zero weights stay.
     """
     combinations = child.size ** code.n
     if combinations > BUDGET:
         raise BudgetExceeded(combinations, BUDGET)
     for assign_w, diags in _assignment_chunks(code, child):
-        yield assign_w, *_conditional(_coset_map_batch(code, diags))
+        syn_w, cond = _conditional(_coset_map_batch(code, diags))
+        yield (assign_w[:, None] * syn_w).reshape(-1), cond.reshape(-1, 4)
 
 
 def exact_level(code: StabilizerCode, child: ChannelEnsemble) -> ChannelEnsemble:
@@ -291,10 +292,9 @@ def exact_level(code: StabilizerCode, child: ChannelEnsemble) -> ChannelEnsemble
     more than BUDGET ordered assignments, however many orbits they fall into.
     """
     acc = _Accumulator()
-    for assign_w, syn_w, rows in _level_chunks(code, child):
-        flat_w = (assign_w[:, None] * syn_w).reshape(-1)
-        keep = flat_w > 0.0
-        acc.add(flat_w[keep], _optimize_rows(rows.reshape(-1, 4)[keep]))
+    for weights, rows in _level_chunks(code, child):
+        keep = weights > 0.0
+        acc.add(weights[keep], _optimize_rows(rows[keep]))
 
     weights, channels = acc.finish()
     return ChannelEnsemble(weights, channels)
@@ -309,8 +309,8 @@ def exact_level_entropy(code: StabilizerCode, child: ChannelEnsemble) -> float:
     recovery relabeling.
     """
     total = 0.0
-    for assign_w, syn_w, rows in _level_chunks(code, child):
-        total += float((assign_w[:, None] * syn_w * row_entropy(rows)).sum())
+    for weights, rows in _level_chunks(code, child):
+        total += float((weights * row_entropy(rows)).sum())
     return total
 
 

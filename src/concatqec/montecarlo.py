@@ -1,16 +1,16 @@
 """Monte Carlo sampling of deep concatenation levels.
 
 Each call builds one sampling table, which its streams share read-only: the
-(weight, conditional row) pairs of every (assignment, syndrome) of exact level
-b.  b = 2 from level 3 up (``ensemble._level_chunks`` over the exact level-1
-ensemble) unless that table would exceed ``_MAX_TABLE_ROWS`` rows; otherwise
-b = 1, the level map of the base noise.  A sample draws its n^(L-b) bottom
-rows from the table.  Each higher tree level is one kernel call on every node
-of a chunk of samples: each node draws a syndrome and passes its conditional
-row up.  The root draws nothing: a sample scores sum_s w_s H(q_s) over the
-root's syndromes s (Rao-Blackwell: the same mean, a smaller variance).  The
-root is not optimized, since a logical recovery only relabels it.  At level 1
-the drawn leaf is scored.
+(weight, conditional row) pairs of positive weight of exact level b.  b = 2
+from level 3 up, in the rows ``ensemble._level_chunks`` lays out over the
+exact level-1 ensemble, unless that table would exceed ``_MAX_TABLE_ROWS``
+rows; otherwise b = 1, the level map of the base noise.  A sample draws its
+n^(L-b) bottom rows from the table.  Each higher tree level is one kernel call
+on every node of a chunk of samples: each node draws a syndrome and passes its
+conditional row up.  The root draws nothing: a sample scores sum_s w_s H(q_s)
+over the root's syndromes s (Rao-Blackwell: the same mean, a smaller
+variance).  The root is not optimized, since a logical recovery only relabels
+it.  At level 1 the drawn leaf is scored.
 
 From level 2 up a control variate adjusts each score Y.  The features
 f = (sum H, sum H^2) of the sample's drawn rows have the exact mean n^(L-b)
@@ -22,9 +22,9 @@ magnitude, the round-off convention of ``thresholds._root``.
 
 A chunk holds as many samples as keep its widest kernel call within
 ``_MAX_BLOCKS`` blocks, which bounds memory by bytes, not by samples; a sample
-wider than that (Steane from level 8) makes a chunk alone.  Streams are seeded
-by (seed, stream), so results are deterministic for a fixed stream count
-regardless of thread count.
+wider than that (Steane from level 8) makes a chunk alone.  The streams run on
+min(threads, streams) worker threads, seeded by (seed, stream), so results are
+deterministic for a fixed stream count regardless of thread count.
 """
 
 from __future__ import annotations
@@ -100,14 +100,10 @@ def _sampling_table(code: StabilizerCode, base_noise: PauliProbVec, levels: int)
         level, chunks = 2, ensemble._level_chunks(code, child)
     else:
         # the raw noise, not its normalized singleton ensemble: level 1 keeps its bits
-        level, chunks = 1, [(np.ones(1), *_conditional(coset_map_probs(code, base_noise)[None]))]
-    weights, rows = [], []
-    for assign_w, syn_w, cond in chunks:
-        w = (assign_w[:, None] * syn_w).reshape(-1)
-        keep = w > 0.0
-        weights.append(w[keep])
-        rows.append(cond.reshape(-1, 4)[keep])
-    weights, rows = np.concatenate(weights), np.concatenate(rows)
+        level, chunks = 1, [_conditional(coset_map_probs(code, base_noise))]
+    weights, rows = (np.concatenate(parts) for parts in zip(*chunks))
+    keep = weights > 0.0
+    weights, rows = weights[keep], rows[keep]
     cum = np.cumsum(weights)
     cum[-1] = 1.0
     h = row_entropy(rows)
@@ -197,17 +193,11 @@ def mc_concatenate(
     table = _sampling_table(code, base_noise, levels)
 
     def run_one(s: int):
-        worker = _StreamWorker(code, table, levels)
         rng = np.random.default_rng([seed, s])
-        return worker.run(counts[s], rng)
+        return _StreamWorker(code, table, levels).run(counts[s], rng)
 
-    if threads > 1 and streams > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, streams)) as pool:
-            results = list(pool.map(run_one, range(streams)))
-    else:
-        results = [run_one(s) for s in range(streams)]
-
-    ents, features = zip(*results)
+    with ThreadPoolExecutor(max_workers=min(threads, streams)) as pool:
+        ents, features = zip(*pool.map(run_one, range(streams)))
     if levels == 1:
         ent = np.concatenate(ents)
     else:

@@ -74,14 +74,25 @@ def _bracket(family: str) -> tuple[float, float]:
 def _exact_entropy(code: StabilizerCode | None, noise: PauliProbVec, level: int) -> float:
     """Exact mean entropy of the level-``level`` ensemble of ``noise``.
 
-    Level 0 is the raw channel and needs no code.
+    Level 0 is the raw channel and needs no code; levels above 0 need one.
     """
     if level == 0:
         return entropy(noise)
-    if code is None:
-        raise ValueError("levels above 0 require a code")
     child = concatenate_exact(code, noise, level - 1)
     return exact_level_entropy(code, child)
+
+
+def _by_method(method: str, level: int, exact, mc):
+    """exact() at level 0 and under "exact", mc() under "mc"; under "auto",
+    exact() unless it raises BudgetExceeded, then mc()."""
+    if level == 0 or method == "exact":
+        return exact()
+    if method == "mc":
+        return mc()
+    try:
+        return exact()
+    except BudgetExceeded:
+        return mc()
 
 
 def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
@@ -94,13 +105,10 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     step is the bisection midpoint.  Returns an endpoint where f equals
     target, or the first probe within round-off of it (64 eps max(1,
     |target|)), otherwise the interpolated point of the final bracket, which
-    is no wider than ``tol``, which must be positive and finite; ``target``
-    must be finite.
+    is no wider than ``tol``, which must be positive and finite.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, not {tol!r}")
-    if not math.isfinite(target):
-        raise ValueError(f"target must be finite, not {target!r}")
     g_lo, g_hi = f(lo) - target, f(hi) - target
     if not (g_lo <= 0.0 <= g_hi):
         raise NoStraddle(lo, hi, g_lo + target, g_hi + target, target)
@@ -150,25 +158,25 @@ def entropy_critical_p(
     ``method`` is "exact", "mc", or "auto" (exact, falling back to Monte
     Carlo if the exact enumeration exceeds ``concatqec.ensemble.BUDGET``).
     Level 0 measures the raw channel, needs no code and is exact under every
-    method.
+    method.  ``target`` must be finite.
     """
     if method not in ("exact", "mc", "auto"):
         raise ValueError(f"unknown method {method!r}")
+    if not math.isfinite(target):
+        raise ValueError(f"target must be finite, not {target!r}")
+    if level > 0 and code is None:
+        raise ValueError("levels above 0 require a code")
     lo, hi = _bracket(family)
-    name = code.name if code is not None else None
 
-    if level == 0 or method in ("exact", "auto"):
-        try:
-            p_star = _root(
-                lambda p: _exact_entropy(code, noise_family(family, p), level),
-                lo, hi, target, tol)
-            return CriticalPoint(name, family, level, p_star, target, "exact", 0.0)
-        except BudgetExceeded:
-            if method == "exact":
-                raise
+    def exact() -> CriticalPoint:
+        p_star = _root(lambda p: _exact_entropy(code, noise_family(family, p), level),
+                       lo, hi, target, tol)
+        name = code.name if code is not None else None
+        return CriticalPoint(name, family, level, p_star, target, "exact", 0.0)
 
-    return _mc_critical_p(code, family, level, target, lo, hi, tol,
-                          samples=samples, seed=seed, threads=threads)
+    return _by_method(method, level, exact, lambda: _mc_critical_p(
+        code, family, level, target, lo, hi, tol, samples=samples, seed=seed,
+        threads=threads))
 
 
 def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
@@ -187,8 +195,6 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     covariance scaled by the pooled variance mean(se_i**2); a point without
     a finite, nonzero standard error raises ChannelError.
     """
-    if code is None:
-        raise ValueError("the Monte Carlo path requires a code")
     evals = itertools.count()
 
     def measure(p: float, n: int):
@@ -301,10 +307,16 @@ def threshold_series(
     seed: int = 0,
     threads: int = 1,
 ) -> list[CriticalPoint]:
-    """Critical values for levels 0..max_level (exact where budget admits)."""
+    """Critical values for levels 0..max_level, one entropy_critical_p call each.
+
+    Above the first level answered by Monte Carlo the calls use "mc": an exact
+    try would rebuild that level and fail again.  Each row equals its call alone.
+    """
     out = []
     for level in range(max_level + 1):
         out.append(entropy_critical_p(
             code, family, level, target=target, tol=tol, method=method,
             samples=samples, seed=seed, threads=threads))
+        if out[-1].method == "monte-carlo":
+            method = "mc"
     return out

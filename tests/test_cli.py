@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from concatqec import cli
+from concatqec import cli, ensemble
 from concatqec.cli import COLUMNS, CONFIG_ENV_VAR, SCHEMA_VERSION, main
 from concatqec.reference import exact_cells, sampled_cells
 
@@ -137,16 +137,19 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert strip(c.read_bytes()) != strip(raw_a)
 
 
-def test_mc_row_reports_samples_and_seed(capsys):
-    code, out, _ = run(capsys, "entropy", "--code", "rep3", "--family",
-                       "depolarizing", "--p", "0.06", "--levels", "2",
-                       "--method", "mc", "--samples", "400", "--seed", "6")
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    assert rows[0]["method"] == "mc"
-    assert rows[0]["samples"] == "400"
-    assert rows[0]["seed"] == "6"
-    assert float(rows[0]["std_error"]) > 0.0
+def test_mc_row_reports_samples_and_seed(capsys, monkeypatch):
+    # under auto, level 2 of rep3 exceeds a budget of 4 assignments and falls back
+    for method, budget in (("mc", ensemble.BUDGET), ("auto", 4)):
+        monkeypatch.setattr(ensemble, "BUDGET", budget)
+        code, out, _ = run(capsys, "entropy", "--code", "rep3", "--family",
+                           "depolarizing", "--p", "0.06", "--levels", "2",
+                           "--method", method, "--samples", "400", "--seed", "6")
+        assert code == 0
+        _, _, rows = parse_csv(out)
+        assert rows[0]["method"] == "mc"
+        assert rows[0]["samples"] == "400"
+        assert rows[0]["seed"] == "6"
+        assert float(rows[0]["std_error"]) > 0.0
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):
@@ -370,6 +373,16 @@ def test_config_file_value_of_wrong_type_exits_2(tmp_path, capsys, values):
     assert info.value.code == 2
     bad_key = next(iter(values))
     assert repr(bad_key) in capsys.readouterr().err
+
+
+def test_exact_entropy_over_budget_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(ensemble, "BUDGET", 4)
+    code, out, err = run(capsys, "entropy", "--code", "rep3", "--family",
+                         "depolarizing", "--p", "0.06", "--levels", "2",
+                         "--method", "exact")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: exact level needs ")
 
 
 def test_no_crossing_exits_1(capsys):

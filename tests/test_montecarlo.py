@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -90,13 +92,15 @@ def test_level_three_is_calibrated_over_seeds(codes):
 
 
 def test_sampling_table_is_the_exact_level(codes, random_codes):
-    noise = PauliProbVec.from_array(np.array([0.9, 0.04, 0.025, 0.035]))
-    for code in [*codes.values(), *random_codes]:
+    noises = (PauliProbVec.from_array(np.array([0.9, 0.04, 0.025, 0.035])),
+              noise_family("phase-flip", 0.1))  # Steane: 50 of 64 level-1 syndromes weigh 0
+    for noise, code in itertools.product(noises, [*codes.values(), *random_codes]):
         level1 = concatenate_exact(code, noise, 1)
         for levels, exact in ((2, ensemble_entropy(level1)),
                               (3, exact_level_entropy(code, level1))):
             table = montecarlo._sampling_table(code, noise, levels)
             assert table.level == levels - 1
+            assert np.all(table.weights > 0.0)
             assert table.weights.sum() == pytest.approx(1.0, abs=1e-12)
             assert table.weights @ table.features[:, 0] == pytest.approx(exact, abs=1e-12)
 

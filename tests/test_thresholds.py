@@ -93,9 +93,13 @@ def test_root_rejects_tol_outside_positive_finite(codes, tol):
 
 
 @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
-def test_root_rejects_non_finite_target(target):
-    with pytest.raises(ValueError, match="target"):
+def test_root_rejects_non_finite_target(codes, target):
+    # NoStraddle is a ValueError too, and its message names the target
+    with pytest.raises(ValueError, match="target must be finite"):
         entropy_critical_p(None, "depolarizing", 0, target=target)
+    with pytest.raises(ValueError, match="target must be finite"):
+        entropy_critical_p(codes["rep3"], "depolarizing", 1, target=target,
+                           method="mc", samples=200)
 
 
 def test_exact_method_propagates_budget(codes, monkeypatch):
@@ -110,6 +114,24 @@ def test_auto_falls_back_to_monte_carlo(codes, monkeypatch):
                             samples=1500, seed=4)
     assert cp.method == "monte-carlo"
     assert cp.uncertainty > 0.0
+
+
+def test_series_runs_monte_carlo_above_the_first_fallback(codes, monkeypatch):
+    # level 2 exceeds the budget of 4 assignments, so level 3 needs no exact try
+    monkeypatch.setattr(ensemble_module, "BUDGET", 4)
+    real = thresholds_module._exact_entropy
+    levels = []
+
+    def counting(code, noise, level):
+        levels.append(level)
+        return real(code, noise, level)
+
+    monkeypatch.setattr(thresholds_module, "_exact_entropy", counting)
+    series = threshold_series(codes["rep3"], "depolarizing", 3, samples=1000, seed=2)
+    assert [cp.method for cp in series] == ["exact", "exact", "monte-carlo", "monte-carlo"]
+    assert 2 in levels and 3 not in levels
+    assert series[3] == entropy_critical_p(codes["rep3"], "depolarizing", 3, method="mc",
+                                           samples=1000, seed=2)
 
 
 def test_monte_carlo_agrees_with_exact(codes):

@@ -36,6 +36,9 @@ __all__ = [
 #: cancellation, so 1e-12 leaves a wide safety margin.
 CLAMP_TOL = 1e-12
 
+#: Values within this spread, relative to their largest, differ by round-off (64 ulp).
+_ROUNDOFF = 64 * np.finfo(float).eps
+
 #: Klein-group multiplication table on letter indices (I,X,Y,Z = 0..3);
 #: ``row[KLEIN[s]]`` composes a channel row with the Pauli s.
 KLEIN = np.array(

@@ -8,11 +8,11 @@ the sampled cells up to level N, run by Monte Carlo.
 
 Each run reads one list of RunConfig fields (``_SUBCOMMANDS``, or
 ``_UNOPTIMIZED_READS`` under ``threshold --unoptimized``): flags and JSON
-config-file keys (``--config`` or CONCATQEC_CONFIG; flags win) may move only
-those from their defaults, and the output header echoes only those.  Output
-is CSV (fixed column order) or JSON (versioned schema); identical
-configurations and seeds produce byte-identical files.  Exit codes: 0 success,
-1 computation or comparison failure, 2 usage error.
+config-file keys (``--config``; flags win) may move only those from their
+defaults, and the output header echoes only those.  Output is CSV (fixed
+column order) or JSON (versioned schema); identical configurations and seeds
+produce byte-identical files.  Exit codes: 0 success, 1 computation or
+comparison failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -37,8 +37,7 @@ from .thresholds import (
 
 __all__ = ["main", "RunConfig"]
 
-SCHEMA_VERSION = 1
-CONFIG_ENV_VAR = "CONCATQEC_CONFIG"
+SCHEMA_VERSION = 2
 
 #: Fixed, versioned column orders (schema version SCHEMA_VERSION).
 COLUMNS = {
@@ -97,8 +96,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     """Defaults, then config-file values, then explicit flags."""
     defaults = asdict(RunConfig())
     merged = dict(defaults)
-    path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
+    if path := args.config:
         file_values = _load_config_file(path)
         known = {f.name: (f.type.split(" |")[0], f.default) for f in fields(RunConfig)}
         for key, value in file_values.items():
@@ -152,11 +150,9 @@ def _validate(config: RunConfig, command: str) -> None:
         cap = NOISE_FAMILIES[config.family][1]
         if not 0.0 <= config.p <= cap:
             raise UsageError(f"--p must be in [0, {cap:.10g}] for {config.family}")
-        if config.levels > 0 and config.code is None:
-            raise UsageError("entropy above level 0 requires --code")
-    if command == "threshold":
-        if (config.levels > 0 or config.unoptimized) and config.code is None:
-            raise UsageError("threshold above level 0 requires --code")
+    if (command != "reproduce-tables" and config.code is None
+            and (config.levels > 0 or config.unoptimized)):
+        raise UsageError(f"{command} above level 0 requires --code")
 
 
 def _fmt(value) -> str:
@@ -233,8 +229,8 @@ def _point_row(cp, config: RunConfig) -> dict:
         "p_star": cp.p_star,
         "target_entropy": cp.target_entropy,
         "uncertainty": cp.uncertainty,
-        "samples": config.samples if cp.method == "monte-carlo" else None,
-        "seed": config.seed if cp.method == "monte-carlo" else None,
+        "samples": config.samples if cp.method == "mc" else None,
+        "seed": config.seed if cp.method == "mc" else None,
     }
 
 
@@ -352,9 +348,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (_, help_, levels_help, names) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_)
-        p.add_argument("--config", help=(
-            "JSON config file of option values "
-            f"(also read from ${CONFIG_ENV_VAR})"))
+        p.add_argument("--config", help="JSON config file of option values")
         for name in names.split():
             flag = dict(_FLAGS[name], help=levels_help) if name == "levels" else _FLAGS[name]
             p.add_argument("--" + name.replace("_", "-"), dest=name, **flag)

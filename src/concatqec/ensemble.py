@@ -284,6 +284,17 @@ def _level_chunks(code: StabilizerCode, child: ChannelEnsemble):
         yield (assign_w[:, None] * syn_w).reshape(-1), cond.reshape(-1, 4)
 
 
+def _level_fits(code: StabilizerCode, child: ChannelEnsemble, rows: int) -> bool:
+    """Whether _level_chunks over child stays within BUDGET and ``rows`` rows,
+    counting orbits (the cached table the build reads) only when their lower
+    bound, ordered assignments over the group order, fits."""
+    ordered, group = child.size ** code.n, len(qubit_automorphisms(code))
+    if ordered > BUDGET or ordered // group * code.n_syndromes > rows:
+        return False
+    orbits = _orbit_table(code, child.size)[1].size if group > 1 else ordered
+    return orbits * code.n_syndromes <= rows
+
+
 def exact_level(code: StabilizerCode, child: ChannelEnsemble) -> ChannelEnsemble:
     """One exact concatenation level, every slot drawing from ``child``.
 

@@ -3,14 +3,14 @@
 Each call builds one sampling table, which its streams share read-only: the
 (weight, conditional row) pairs of positive weight of exact level b.  b = 2
 from level 3 up, in the rows ``ensemble._level_chunks`` lays out over the
-exact level-1 ensemble, unless that table would exceed ``_MAX_TABLE_ROWS``
-rows; otherwise b = 1, the level map of the base noise.  A sample draws its
-n^(L-b) bottom rows from the table.  Each higher tree level is one kernel call
-on every node of a chunk of samples: each node draws a syndrome and passes its
-conditional row up.  The root draws nothing: a sample scores sum_s w_s H(q_s)
-over the root's syndromes s (Rao-Blackwell: the same mean, a smaller
-variance).  The root is not optimized, since a logical recovery only relabels
-it.  At level 1 the drawn leaf is scored.
+exact level-1 ensemble, if ``ensemble._level_fits`` finds at most
+``_MAX_TABLE_ROWS``; otherwise b = 1, the level map of the base noise.  A
+sample draws its n^(L-b) bottom rows from the table.  Each higher tree level
+is one kernel call on every node of a chunk of samples: each node draws a
+syndrome and passes its conditional row up.  The root draws nothing: a
+sample scores sum_s w_s H(q_s) over the root's syndromes s (Rao-Blackwell:
+the same mean, a smaller variance).  The root is not optimized, since a
+logical recovery only relabels it.  At level 1 the drawn leaf is scored.
 
 From level 2 up a control variate adjusts each score Y.  The features
 f = (sum H, sum H^2) of the sample's drawn rows have the exact mean n^(L-b)
@@ -24,19 +24,22 @@ A chunk holds as many samples as keep its widest kernel call within
 ``_MAX_BLOCKS`` blocks, which bounds memory by bytes, not by samples; a sample
 wider than that (Steane from level 8) makes a chunk alone.  The streams run on
 min(threads, streams) worker threads, seeded by (seed, stream), so results are
-deterministic for a fixed stream count regardless of thread count.
+deterministic for a fixed stream count regardless of thread count.  The pool
+of each worker count is kept across calls.
 """
 
 from __future__ import annotations
 
+import functools
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import ensemble
-from .channels import HAD4, ChannelError, PauliProbVec, row_entropy
-from .codes import StabilizerCode, qubit_automorphisms
+from .channels import _ROUNDOFF, HAD4, ChannelError, PauliProbVec, row_entropy
+from .codes import StabilizerCode
 from .levelmap import _MAX_BLOCKS, _coset_map_batch, _conditional, coset_map_probs
 
 __all__ = ["MCEstimate", "mc_concatenate"]
@@ -44,10 +47,6 @@ __all__ = ["MCEstimate", "mc_concatenate"]
 #: Most rows of a level-2 sampling table, counted before it is built; above
 #: it the table is level 1.  Steane depolarizing holds 59,520 (2.3 MiB).
 _MAX_TABLE_ROWS = 1 << 20
-
-#: Values this far apart, relative to their largest magnitude, differ by
-#: round-off (64 ulp); ``thresholds._root`` uses it too.
-_ROUNDOFF = 64 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -80,23 +79,10 @@ class _Table:
     features: np.ndarray
 
 
-def _level_two_fits(code: StabilizerCode, child: ensemble.ChannelEnsemble) -> bool:
-    """Whether the level table over child holds at most _MAX_TABLE_ROWS rows.
-
-    Orbits are counted (the cached table the build reads) only when their
-    lower bound, ordered assignments over the group order, fits.
-    """
-    ordered, group = child.size ** code.n, len(qubit_automorphisms(code))
-    if ordered > ensemble.BUDGET or ordered // group * code.n_syndromes > _MAX_TABLE_ROWS:
-        return False
-    orbits = ensemble._orbit_table(code, child.size)[1].size if group > 1 else ordered
-    return orbits * code.n_syndromes <= _MAX_TABLE_ROWS
-
-
 def _sampling_table(code: StabilizerCode, base_noise: PauliProbVec, levels: int) -> _Table:
     """The table a level-``levels`` estimate draws its bottom channels from."""
     child = ensemble.concatenate_exact(code, base_noise, 1) if levels >= 3 else None
-    if child is not None and _level_two_fits(code, child):
+    if child is not None and ensemble._level_fits(code, child, _MAX_TABLE_ROWS):
         level, chunks = 2, ensemble._level_chunks(code, child)
     else:
         # the raw noise, not its normalized singleton ensemble: level 1 keeps its bits
@@ -156,6 +142,12 @@ class _StreamWorker:
         return ent, features
 
 
+@functools.lru_cache(maxsize=None)
+def _pool(workers: int, pid: int) -> ThreadPoolExecutor:
+    """The kept pool of ``workers`` threads, keyed by pid: a forked child builds its own."""
+    return ThreadPoolExecutor(max_workers=workers)
+
+
 def _cross_fitted(ents, features, mean_f: np.ndarray) -> np.ndarray:
     """Each stream's scores minus beta (f - mean_f), beta fitted on the other streams."""
     if len(ents) == 1:
@@ -196,8 +188,7 @@ def mc_concatenate(
         rng = np.random.default_rng([seed, s])
         return _StreamWorker(code, table, levels).run(counts[s], rng)
 
-    with ThreadPoolExecutor(max_workers=min(threads, streams)) as pool:
-        ents, features = zip(*pool.map(run_one, range(streams)))
+    ents, features = zip(*_pool(min(threads, streams), os.getpid()).map(run_one, range(streams)))
     if levels == 1:
         ent = np.concatenate(ents)
     else:

@@ -18,12 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import HAD4, NOISE_FAMILIES, ChannelError, PauliProbVec, entropy, noise_family
+from .channels import (
+    _ROUNDOFF, HAD4, NOISE_FAMILIES, ChannelError, PauliProbVec, entropy, noise_family)
 from .codes import StabilizerCode
 from .ensemble import BudgetExceeded, concatenate_exact, exact_level_entropy
 # bench/worker.py traces thresholds.blind_map by name, so the name stays here.
 from .levelmap import _blind_step, blind_map
-from .montecarlo import _ROUNDOFF, mc_concatenate
+from .montecarlo import mc_concatenate
 
 __all__ = [
     "CriticalPoint",
@@ -52,8 +53,9 @@ class CriticalPoint:
 
     ``level`` is the concatenation depth; -1 marks the unoptimized
     fixed-point threshold, which is an iterate-to-convergence quantity.
-    ``uncertainty`` is 0 for deterministic methods and the propagated one
-    standard error for Monte Carlo.
+    ``method`` is "exact", "mc" (sampled) or "unoptimized".  ``uncertainty``
+    is 0 for deterministic methods and the propagated one standard error
+    for Monte Carlo.
     """
 
     code: str | None
@@ -226,8 +228,7 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
         raise NoStraddle(lo, hi, estimates[lo].mean_entropy,
                          estimates[hi].mean_entropy, target) from None
     if center in (lo, hi):  # an endpoint measured exactly at target
-        return CriticalPoint(code.name, family, level, center, target,
-                             "monte-carlo", 0.0)
+        return CriticalPoint(code.name, family, level, center, target, "mc", 0.0)
     # a fresh draw when the bracket closed below tol before any zero
     sigma_e = (estimates.get(center) or measure(center, samples)).std_error
 
@@ -250,8 +251,7 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     # delta method: gradient of p_star in (slope, offset)
     grad = np.array([-(target - offset) / slope ** 2, -1.0 / slope])
     sigma = float(np.sqrt(grad @ cov @ grad))
-    return CriticalPoint(code.name, family, level, float(p_star), target,
-                         "monte-carlo", sigma)
+    return CriticalPoint(code.name, family, level, float(p_star), target, "mc", sigma)
 
 
 def unoptimized_threshold(
@@ -317,6 +317,6 @@ def threshold_series(
         out.append(entropy_critical_p(
             code, family, level, target=target, tol=tol, method=method,
             samples=samples, seed=seed, threads=threads))
-        if out[-1].method == "monte-carlo":
+        if out[-1].method == "mc":
             method = "mc"
     return out

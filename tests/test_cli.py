@@ -8,10 +8,13 @@ from pathlib import Path
 import pytest
 
 from concatqec import cli, ensemble
-from concatqec.cli import COLUMNS, CONFIG_ENV_VAR, SCHEMA_VERSION, main
-from concatqec.reference import exact_cells, sampled_cells
+from concatqec.cli import COLUMNS, SCHEMA_VERSION, main
+from concatqec.reference import ReferenceCell, exact_cells, sampled_cells
 
 DEP_LEVEL0 = 6.309654163841059e-2
+
+#: The one name of each way a value is obtained, in every subcommand's rows.
+METHODS = {"exact", "mc", "unoptimized"}
 
 
 def run(capsys, *args):
@@ -26,7 +29,9 @@ def parse_csv(text):
     body = [l for l in lines if not l.startswith("#")]
     reader = list(csv.reader(body))
     header, rows = reader[0], reader[1:]
-    return comments, header, [dict(zip(header, r)) for r in rows]
+    rows = [dict(zip(header, r)) for r in rows]
+    assert {r["method"] for r in rows} <= METHODS
+    return comments, header, rows
 
 
 def test_entropy_level0_noiseless(capsys):
@@ -93,7 +98,7 @@ def test_threshold_level0_exact_under_mc(capsys, args):
     assert code == 0
     _, _, rows = parse_csv(out)
     assert [r["method"] for r in rows] == (
-        ["exact"] + ["monte-carlo"] * (len(rows) - 1))
+        ["exact"] + ["mc"] * (len(rows) - 1))
     assert float(rows[0]["p_star"]) == pytest.approx(DEP_LEVEL0, abs=1e-10)
 
 
@@ -168,13 +173,14 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):
+    # a run's inputs are its argv: the environment names no config file
+    argv = ("entropy", "--family", "depolarizing", "--p", "0.1")
+    plain = run(capsys, *argv)
     cfg = tmp_path / "env.json"
-    cfg.write_text(json.dumps({"family": "indep-flips", "p": 0.5}))
-    monkeypatch.setenv(CONFIG_ENV_VAR, str(cfg))
-    code, out, _ = run(capsys, "entropy")
-    assert code == 0
-    _, _, rows = parse_csv(out)
-    assert rows[0]["entropy"] == "2"
+    cfg.write_text(json.dumps({"samples": 400}))
+    monkeypatch.setenv("CONCATQEC_CONFIG", str(cfg))
+    assert run(capsys, *argv) == plain
+    assert '"samples": 100000' in plain[1]
 
 
 def test_result_file_round_trips_as_config(tmp_path, capsys):
@@ -426,6 +432,20 @@ def test_reproduce_tables_fails_a_cell_outside_tolerance(capsys, monkeypatch):
     _, _, rows = parse_csv(out)
     assert [r["status"] for r in rows] == ["pass", "pass", "FAIL"]
     assert [r["method"] for r in rows] == ["exact", "unoptimized", "exact"]
+
+
+def test_reproduce_tables_plan_methods_are_the_run_methods(capsys, monkeypatch):
+    cells = [ReferenceCell("rep3", "depolarizing", -1, 0.0),
+             ReferenceCell("rep3", "depolarizing", 1, 0.06)]
+    monkeypatch.setattr(cli, "exact_cells", lambda: cells)
+    monkeypatch.setattr(cli, "sampled_cells", lambda: [
+        ReferenceCell("rep3", "depolarizing", 2, 0.06, sigma=1e-4)])
+    argv = ("reproduce-tables", "--levels", "2", "--samples", "1000")
+    plan = parse_csv(run(capsys, *argv, "--dry-run")[1])[2]
+    done = parse_csv(run(capsys, *argv)[1])[2]
+    assert all(r["computed"] for r in done)  # the cells ran; their values are made up
+    assert [r["method"] for r in plan] == [r["method"] for r in done] == [
+        "unoptimized", "exact", "mc"]
 
 
 @pytest.mark.parametrize("levels", [3, 7])

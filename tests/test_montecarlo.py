@@ -34,8 +34,9 @@ def test_thread_count_does_not_change_result(codes):
     noise = noise_family("depolarizing", 0.06)
     for levels in (2, 3, 4):
         a = mc_concatenate(code, noise, levels, 400, seed=3, threads=1)
-        b = mc_concatenate(code, noise, levels, 400, seed=3, threads=4)
-        assert a == b
+        # each thread count's pool is kept: repeated calls on it agree too
+        for threads in (4, 1, 2, 2):
+            assert mc_concatenate(code, noise, levels, 400, seed=3, threads=threads) == a
 
 
 def test_stream_count_changes_the_draws(codes):
@@ -106,6 +107,11 @@ def test_sampling_table_is_the_exact_level(codes, random_codes):
 
 
 def test_level_three_falls_back_to_the_level_one_table(codes, monkeypatch):
+    # Steane depolarizing at p = 1e-4 has 9 level-1 entries: its level-2 table
+    # would hold at least 9^7 / 168 * 64 = 1.82M rows, over the 2^20 cap
+    noise = noise_family("depolarizing", 1e-4)
+    assert concatenate_exact(codes["steane"], noise, 1).size == 9
+    assert montecarlo._sampling_table(codes["steane"], noise, 3).level == 1
     # exact level-3 entropy 1 bit within about 4e-8 (see above)
     code = codes["five-qubit"]
     noise = noise_family("depolarizing", _five_qubit_level_three_p_star())

@@ -112,7 +112,7 @@ def test_auto_falls_back_to_monte_carlo(codes, monkeypatch):
     monkeypatch.setattr(ensemble_module, "BUDGET", 4)
     cp = entropy_critical_p(codes["rep3"], "depolarizing", 2, method="auto",
                             samples=1500, seed=4)
-    assert cp.method == "monte-carlo"
+    assert cp.method == "mc"
     assert cp.uncertainty > 0.0
 
 
@@ -128,7 +128,7 @@ def test_series_runs_monte_carlo_above_the_first_fallback(codes, monkeypatch):
 
     monkeypatch.setattr(thresholds_module, "_exact_entropy", counting)
     series = threshold_series(codes["rep3"], "depolarizing", 3, samples=1000, seed=2)
-    assert [cp.method for cp in series] == ["exact", "exact", "monte-carlo", "monte-carlo"]
+    assert [cp.method for cp in series] == ["exact", "exact", "mc", "mc"]
     assert 2 in levels and 3 not in levels
     assert series[3] == entropy_critical_p(codes["rep3"], "depolarizing", 3, method="mc",
                                            samples=1000, seed=2)
@@ -139,7 +139,7 @@ def test_monte_carlo_agrees_with_exact(codes):
     exact = entropy_critical_p(code, "depolarizing", 1, tol=1e-10)
     mc = entropy_critical_p(code, "depolarizing", 1, method="mc",
                             samples=4000, seed=9)
-    assert mc.method == "monte-carlo"
+    assert mc.method == "mc"
     assert abs(mc.p_star - exact.p_star) < 5.0 * mc.uncertainty
     assert mc.uncertainty < 0.01
 
@@ -367,7 +367,7 @@ def test_monte_carlo_endpoint_at_target(codes):
     cp = entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc",
                             samples=500, target=0.0)
     assert cp.p_star == 0.0
-    assert cp.method == "monte-carlo"
+    assert cp.method == "mc"
 
 
 def test_monte_carlo_search_draws_at_most_samples(codes, monkeypatch):

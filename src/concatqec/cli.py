@@ -6,13 +6,14 @@ parameters per concatenation level, and ``reproduce-tables`` recomputes the
 bundled reference tables and reports per-cell pass/fail; ``--levels N`` adds
 the sampled cells up to level N, run by Monte Carlo.
 
-Each run reads one list of RunConfig fields (``_SUBCOMMANDS``, or
-``_UNOPTIMIZED_READS`` under ``threshold --unoptimized``): flags and JSON
-config-file keys (``--config``; flags win) may move only those from their
-defaults, and the output header echoes only those.  Output is CSV (fixed
-column order) or JSON (versioned schema); identical configurations and seeds
-produce byte-identical files.  Exit codes: 0 success, 1 computation or
-comparison failure, 2 usage error.
+Each run reads one list of RunConfig fields (``_reads``): its subcommand's
+flags, less ``samples``, ``seed`` and ``threads`` where it cannot sample and
+less ``method`` at level 0.  Flags and JSON config-file keys (``--config``;
+flags win) may move only those from their defaults, and the output header
+echoes only those.  Output is CSV (fixed column order) or strict JSON
+(versioned schema; a non-finite value is ``null``); identical configurations
+and seeds produce byte-identical files.  Exit codes: 0 success, 1 computation
+or comparison failure, 2 usage error.
 """
 
 from __future__ import annotations
@@ -165,7 +166,7 @@ def _fmt(value) -> str:
 
 def _json_safe(value):
     if isinstance(value, float):
-        return float(f"{value:.10g}")
+        return float(f"{value:.10g}") if math.isfinite(value) else None
     return value
 
 
@@ -181,11 +182,11 @@ def _render(command: str, config: RunConfig, rows: list[dict]) -> str:
                 {k: _json_safe(row.get(k)) for k in columns} for row in rows
             ],
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     buf = io.StringIO()
     buf.write(f"# schema_version={SCHEMA_VERSION}\n")
     buf.write(f"# command={command}\n")
-    buf.write(f"# config={json.dumps(echo, sort_keys=True)}\n")
+    buf.write(f"# config={json.dumps(echo, sort_keys=True, allow_nan=False)}\n")
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     for row in rows:
@@ -311,14 +312,15 @@ _FLAGS = {
     "format": dict(choices=("csv", "json")),
     "out": dict(help="output path (default: stdout)"),
     "threads": dict(type=int, help=(
-        "Monte Carlo worker threads; exact computations run in one thread")),
+        "Monte Carlo worker threads, at most the 8 streams at once; exact runs use one. "
+        "Pin BLAS to one thread (OPENBLAS_NUM_THREADS=1), or two can be slower than one")),
     "unoptimized": dict(action="store_const", const=True, help=(
         "blind-map fixed point; reads only --code --family --tol --format --out")),
     "dry_run": dict(action="store_const", const=True,
                     help="list planned cells, compute nothing"),
 }
 
-#: Per subcommand: its handler, its help, its --levels help, the fields it reads.
+#: Per subcommand: its handler, its help, its --levels help, the fields it registers.
 _SUBCOMMANDS = {
     "entropy": (_cmd_entropy, "mean conditional entropy", "concatenation levels",
                 "code family p levels method samples seed format out threads"),
@@ -330,15 +332,25 @@ _SUBCOMMANDS = {
                          "also run the sampled cells up to this level (default 0: none)",
                          "levels samples seed tol format out threads dry_run"),
 }
-#: The fields ``threshold --unoptimized`` reads; the blind map has no level or sampling.
-_UNOPTIMIZED_READS = "code family tol format out unoptimized"
 
 
 def _reads(command: str, config: RunConfig) -> tuple[str, list[str]]:
-    """The run's name and the fields it reads, accepts away from default and echoes."""
-    if command == "threshold" and config.unoptimized:
-        return "threshold --unoptimized", _UNOPTIMIZED_READS.split()
-    return command, _SUBCOMMANDS[command][3].split()
+    """The run's name and the fields it reads, accepts away from default and echoes.
+
+    A run that cannot sample reads no sampling fields, and a level-0 run, exact
+    under every method, reads no method.  A dry run reads what it plans.
+    """
+    if command == "threshold" and config.unoptimized:  # no level, no sampling
+        return "threshold --unoptimized", "code family tol format out unoptimized".split()
+    names, sampling = _SUBCOMMANDS[command][3].split(), ["samples", "seed", "threads"]
+    first = min(c.level for c in sampled_cells()) if command == "reproduce-tables" else 1
+    if config.levels < first:
+        run, unread = f"{command} --levels {config.levels}", ["method", *sampling]
+    elif config.method == "exact" and "method" in names:
+        run, unread = f"{command} --method exact", sampling
+    else:
+        return command, names
+    return run, [n for n in names if n not in unread]
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -34,6 +34,15 @@ def parse_csv(text):
     return comments, header, rows
 
 
+def _non_standard(token):
+    raise ValueError(f"{token} is not JSON")
+
+
+def parse_json(text):
+    """RFC 8259 JSON, which has no NaN or Infinity (jq and JSON.parse reject them)."""
+    return json.loads(text, parse_constant=_non_standard)
+
+
 def test_entropy_level0_noiseless(capsys):
     code, out, _ = run(capsys, "entropy", "--family", "depolarizing", "--p", "0")
     assert code == 0
@@ -58,11 +67,18 @@ def test_json_schema(capsys):
     code, out, _ = run(capsys, "entropy", "--family", "indep-flips",
                        "--p", "0.5", "--format", "json")
     assert code == 0
-    doc = json.loads(out)
+    doc = parse_json(out)
     assert doc["schema_version"] == SCHEMA_VERSION
     assert doc["command"] == "entropy"
     assert doc["config"]["family"] == "indep-flips"
     assert doc["results"][0]["entropy"] == 2
+    # one sample has an infinite standard error: null in JSON, inf in CSV
+    argv = ("entropy", "--code", "rep3", "--family", "depolarizing", "--p", "0.05",
+            "--levels", "2", "--method", "mc", "--samples", "1")
+    code, out, _ = run(capsys, *argv, "--format", "json")
+    assert code == 0
+    assert parse_json(out)["results"][0]["std_error"] is None
+    assert parse_csv(run(capsys, *argv)[1])[2][0]["std_error"] == "inf"
 
 
 def test_threshold_level0_ten_digits(capsys):
@@ -88,13 +104,10 @@ def test_threshold_series_rows(capsys):
     assert all(r["method"] == "exact" for r in rows)
 
 
-@pytest.mark.parametrize("args", [
-    ("--code", "rep3", "--levels", "2", "--samples", "2000"),
-    ("--levels", "0",),
-])
-def test_threshold_level0_exact_under_mc(capsys, args):
+def test_threshold_level0_exact_under_mc(capsys):
     code, out, _ = run(capsys, "threshold", "--family", "depolarizing",
-                       "--method", "mc", *args)
+                       "--method", "mc", "--code", "rep3", "--levels", "2",
+                       "--samples", "2000")
     assert code == 0
     _, _, rows = parse_csv(out)
     assert [r["method"] for r in rows] == (
@@ -174,7 +187,7 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
 
 def test_config_env_var(tmp_path, capsys, monkeypatch):
     # a run's inputs are its argv: the environment names no config file
-    argv = ("entropy", "--family", "depolarizing", "--p", "0.1")
+    argv = ("reproduce-tables", "--levels", "3", "--dry-run")
     plain = run(capsys, *argv)
     cfg = tmp_path / "env.json"
     cfg.write_text(json.dumps({"samples": 400}))
@@ -191,8 +204,8 @@ def test_result_file_round_trips_as_config(tmp_path, capsys):
     assert main([*base, "--out", str(first)]) == 0
     assert main(["threshold", "--config", str(first),
                  "--out", str(again)]) == 0
-    doc1 = json.loads(first.read_text())
-    doc2 = json.loads(again.read_text())
+    doc1 = parse_json(first.read_text())
+    doc2 = parse_json(again.read_text())
     assert doc1["results"] == doc2["results"]
     assert doc2["config"]["tol"] == 1e-10
 
@@ -204,8 +217,8 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["entropy", "--family", "depolarizing", "--p", "0.1", "--levels", "1"],
         ["threshold", "--family", "depolarizing", "--levels", "2"],
         ["threshold", "--family", "depolarizing", "--tol", "0"],
-        ["entropy", "--family", "depolarizing", "--p", "0.1",
-         "--seed", "-1"],
+        ["entropy", "--code", "rep3", "--family", "depolarizing", "--p", "0.1",
+         "--levels", "1", "--seed", "-1"],
         ["entropy", "--no-such-flag"],
         ["no-such-command"],
         # flags a subcommand does not read
@@ -225,6 +238,11 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         ["entropy", "--family", "depolarizing", "--p", "nan"],
         ["threshold", "--family", "depolarizing", "--target-entropy", "nan"],
         ["threshold", "--family", "depolarizing", "--target-entropy", "inf"],
+        ["threshold", "--family", "depolarizing", "--levels", "-1"],
+        ["threshold", "--code", "rep3", "--family", "depolarizing", "--levels", "1",
+         "--samples", "0"],
+        ["threshold", "--code", "rep3", "--family", "depolarizing", "--levels", "1",
+         "--threads", "0"],
     ]
     for argv in cases:
         with pytest.raises(SystemExit) as info:
@@ -232,11 +250,18 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert info.value.code == 2, argv
         capsys.readouterr()
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"familly": "depolarizing"}))
-    with pytest.raises(SystemExit) as info:
-        main(["entropy", "--config", str(bad), "--p", "0.1"])
-    assert info.value.code == 2
-    capsys.readouterr()
+    for values, argv, named in [
+        ({"familly": "depolarizing"}, ["entropy", "--p", "0.1"], "'familly'"),
+        # only a config file gets a value outside the choices to the checks
+        ({"method": "bogus"}, ["threshold", "--code", "rep3", "--family", "depolarizing",
+                               "--levels", "1"], "'bogus'"),
+        ({"format": "xml"}, ["entropy", "--family", "depolarizing", "--p", "0.1"], "'xml'"),
+    ]:
+        bad.write_text(json.dumps(values))
+        with pytest.raises(SystemExit) as info:
+            main([*argv, "--config", str(bad)])
+        assert info.value.code == 2
+        assert named in capsys.readouterr().err
     # a result file of the removed deep-cell switch names its key
     stale = tmp_path / "stale.json"
     stale.write_text(json.dumps({"config": {"with_mc": False}}))
@@ -254,16 +279,34 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 UNOPTIMIZED = ("threshold", "--code", "five-qubit", "--family", "depolarizing",
                "--unoptimized", "--tol", "1e-6")
 
-#: The four run kinds: the argv of a cheap run, and the fields that run reads.
+ENTROPY = ("entropy", "--family", "depolarizing", "--p", "0.1")
+THRESHOLD = ("threshold", "--family", "depolarizing", "--tol", "1e-6")
+LEVEL1 = ("--code", "rep3", "--levels", "1")
+EXACT = ("--method", "exact")
+SAMPLING = ("--samples", "500", "--seed", "3", "--threads", "2")
+
+#: The run kinds: the argv of a cheap run, and the fields that run reads.  A
+#: run reads the sampling fields only if it can sample, and a method only
+#: above level 0; the plain kinds run at level 0, and the kinds that can
+#: sample set sampling fields.
 RUN_KINDS = {
-    "entropy": (("entropy", "--family", "depolarizing", "--p", "0.1"),
-                "code family p levels method samples seed format out threads"),
-    "threshold": (("threshold", "--family", "depolarizing", "--tol", "1e-6"),
-                  "code family levels method samples seed target_entropy tol "
-                  "format out threads unoptimized"),
+    "entropy": (ENTROPY, "code family p levels format out"),
+    "entropy --method exact": (ENTROPY + LEVEL1 + EXACT,
+                               "code family p levels method format out"),
+    "entropy --levels 1": (ENTROPY + LEVEL1 + SAMPLING, "code family p levels method "
+                           "samples seed format out threads"),
+    "threshold": (THRESHOLD, "code family levels target_entropy tol format out unoptimized"),
+    "threshold --method exact": (THRESHOLD + LEVEL1 + EXACT,
+                                 "code family levels method target_entropy tol "
+                                 "format out unoptimized"),
+    "threshold --levels 1": (THRESHOLD + LEVEL1 + SAMPLING,
+                             "code family levels method samples seed target_entropy tol "
+                             "format out threads unoptimized"),
     "threshold --unoptimized": (UNOPTIMIZED, "code family tol format out unoptimized"),
-    "reproduce-tables": (("reproduce-tables", "--dry-run"),
-                         "levels samples seed tol format out threads dry_run"),
+    "reproduce-tables": (("reproduce-tables", "--dry-run"), "levels tol format out dry_run"),
+    "reproduce-tables --levels 3": (("reproduce-tables", "--dry-run", "--levels", "3",
+                                     "--samples", "9"),
+                                    "levels samples seed tol format out threads dry_run"),
 }
 
 #: The threshold settings the blind map's fixed point does not read.
@@ -278,9 +321,9 @@ def test_header_echoes_the_fields_the_run_reads(capsys, kind, fmt):
     code, out, _ = run(capsys, *argv, "--format", fmt)
     assert code == 0
     if fmt == "json":
-        echoed = json.loads(out)["config"]
+        echoed = parse_json(out)["config"]
     else:
-        echoed = json.loads(parse_csv(out)[0][2].removeprefix("# config="))
+        echoed = parse_json(parse_csv(out)[0][2].removeprefix("# config="))
     assert sorted(echoed) == sorted(reads.split())
 
 
@@ -291,47 +334,71 @@ def test_result_file_of_all_fields_at_default_replays(tmp_path, capsys, kind):
     argv, _ = RUN_KINDS[kind]
     first, again = tmp_path / "first.json", tmp_path / "again.json"
     assert main([*argv, "--format", "json", "--out", str(first)]) == 0
-    doc = json.loads(first.read_text())
+    doc = parse_json(first.read_text())
     doc["config"] = {**dataclasses.asdict(cli.RunConfig()), **doc["config"]}
     assert len(doc["config"]) == 14
     first.write_text(json.dumps(doc))
     assert main([argv[0], "--config", str(first), "--out", str(again)]) == 0
-    assert json.loads(again.read_text())["results"] == doc["results"]
+    assert parse_json(again.read_text())["results"] == doc["results"]
+
+
+#: Runs whose engine path leaves settings unread: the run's name in the
+#: error, its argv, and the settings, given below as flags or as config keys.
+PATH_UNREAD = {
+    "threshold-exact": ("threshold --method exact",
+                        ("threshold", "--code", "five-qubit", "--family", "depolarizing",
+                         "--levels", "1", "--method", "exact"),
+                        {"samples": 7, "seed": 3, "threads": 2}),
+    "entropy-level0": ("entropy --levels 0", ENTROPY, {"method": "mc", "samples": 9}),
+    "threshold-level0": ("threshold --levels 0", THRESHOLD, {"method": "mc"}),
+    "reproduce-tables-level2": ("reproduce-tables --levels 2",
+                                ("reproduce-tables", "--levels", "2"),
+                                {"samples": 9, "threads": 2}),
+}
 
 
 def _unread_cases():
     for field, value in IGNORED_BY_UNOPTIMIZED.items():
         flag = "--" + field.replace("_", "-")
         yield pytest.param(UNOPTIMIZED + (flag, str(value)), {}, [field],
-                           id=f"unoptimized-flag-{field}")
+                           "threshold --unoptimized", id=f"unoptimized-flag-{field}")
         yield pytest.param(UNOPTIMIZED, {field: value}, [field],
-                           id=f"unoptimized-config-{field}")
+                           "threshold --unoptimized", id=f"unoptimized-config-{field}")
     yield pytest.param(
         UNOPTIMIZED + ("--levels", "5", "--method", "mc", "--samples", "7",
                        "--target-entropy", "0.3"), {},
-        ["levels", "method", "samples", "target_entropy"], id="unoptimized-four-flags")
+        ["levels", "method", "samples", "target_entropy"], "threshold --unoptimized",
+        id="unoptimized-four-flags")
     yield pytest.param(UNOPTIMIZED, {"dry_run": True, "p": 0.1}, ["p", "dry_run"],
-                       id="unoptimized-config")
+                       "threshold --unoptimized", id="unoptimized-config")
     yield pytest.param(
         ("entropy", "--code", "five-qubit", "--family", "depolarizing", "--p", "0.06",
          "--levels", "1"),
         {"tol": 0.5, "target_entropy": 3.0, "unoptimized": True, "dry_run": True},
-        ["target_entropy", "tol", "unoptimized", "dry_run"], id="entropy-config")
+        ["target_entropy", "tol", "unoptimized", "dry_run"], "entropy", id="entropy-config")
     yield pytest.param(RUN_KINDS["threshold"][0], {"p": 0.1, "dry_run": True},
-                       ["p", "dry_run"], id="threshold-config")
+                       ["p", "dry_run"], "threshold --levels 0", id="threshold-config")
     yield pytest.param(RUN_KINDS["reproduce-tables"][0],
                        {"code": "steane", "method": "mc", "unoptimized": True},
-                       ["code", "method", "unoptimized"], id="reproduce-tables-config")
+                       ["code", "method", "unoptimized"], "reproduce-tables --levels 0",
+                       id="reproduce-tables-config")
+    for name, (run_name, argv, values) in PATH_UNREAD.items():
+        flags = tuple(x for k, v in values.items() for x in ("--" + k, str(v)))
+        yield pytest.param(argv + flags, {}, list(values), run_name, id=f"{name}-flags")
+        yield pytest.param(argv, values, list(values), run_name, id=f"{name}-config")
 
 
-@pytest.mark.parametrize("argv, values, named", _unread_cases())
-def test_unread_field_away_from_default_exits_2(tmp_path, capsys, argv, values, named):
+@pytest.mark.parametrize("argv, values, named, run_name", _unread_cases())
+def test_unread_field_away_from_default_exits_2(tmp_path, capsys, argv, values, named,
+                                                run_name):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(values))
     with pytest.raises(SystemExit) as info:
         main([*argv, "--config", str(cfg)])
     assert info.value.code == 2
-    assert re.findall(r"'(\w+)'", capsys.readouterr().err) == named
+    err = capsys.readouterr().err
+    assert f"error: {run_name} does not read " in err
+    assert re.findall(r"'(\w+)'", err) == named
 
 
 def test_readme_flag_table_matches_parser():
@@ -339,7 +406,7 @@ def test_readme_flag_table_matches_parser():
                       if isinstance(a, argparse._SubParsersAction)).choices
     flags = {command: {a.dest: a for a in parser._actions if a.dest != "help"}
              for command, parser in subparsers.items()}
-    unoptimized = cli._UNOPTIMIZED_READS.split() + ["config"]
+    unoptimized = cli._reads("threshold", cli.RunConfig(unoptimized=True))[1] + ["config"]
     flags["threshold --unoptimized"] = {
         dest: a for dest, a in flags["threshold"].items() if dest in unoptimized}
     columns = ["entropy", "threshold", "threshold --unoptimized", "reproduce-tables"]

@@ -304,6 +304,29 @@ def test_accumulator_merges_grid_boundary_splits_of_many_rows():
                        rtol=0.0, atol=1e-15)
 
 
+@pytest.mark.parametrize("name,family,p", [
+    ("five-qubit", "indep-flips", 0.1095),
+    ("steane", "indep-flips", 0.1096),
+    ("five-qubit", "depolarizing", 0.0629),
+])
+def test_compacting_mid_stream_leaves_the_build_byte_identical(codes, monkeypatch,
+                                                                name, family, p):
+    # only builds of over 2^21 rows compact before finish() at the real sizes
+    code, noise = codes[name], noise_family(family, p)
+    want = concatenate_exact(code, noise, 2)
+    compactions = []
+    compact = _Accumulator._compact
+    monkeypatch.setattr(_Accumulator, "_compact",
+                        lambda self: compactions.append(compact(self)))
+    monkeypatch.setattr(ensemble_module, "_MAX_BLOCKS", 16)
+    monkeypatch.setattr(_Accumulator, "_COMPACT_AT", 64)
+    got = concatenate_exact(code, noise, 2)
+    assert len(compactions) > 2  # more than the two finish() calls
+    assert got.size == want.size
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.channels.tobytes() == want.channels.tobytes()
+
+
 # ------------------------------------------------------- orbit enumeration
 
 def random_ensemble(rng, size):

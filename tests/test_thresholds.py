@@ -250,6 +250,10 @@ def test_root_stops_at_round_off_of_target():
     p = thresholds_module._root(f, 0.0, 1.0 / 3.0, 1.0, 1e-10)
     first = next(x for x in probes if abs(x - root) < 0.01)
     assert p == first == probes[-1]
+    # an endpoint exactly on the target is returned without an interior probe
+    f, probes = _recording(lambda x: x)
+    assert thresholds_module._root(f, 0.0, 1.0, 1.0, 1e-10) == 1.0
+    assert probes == [0.0, 1.0]
 
 
 @pytest.mark.parametrize("tol", [1e-10, 1e-20])

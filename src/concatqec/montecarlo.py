@@ -1,13 +1,17 @@
 """Monte Carlo sampling of deep concatenation levels.
 
-Each call builds one sampling table, which its streams share read-only: the
-(weight, conditional row) pairs of positive weight of exact level b.  b = 2
+Each call draws from one sampling table, which its streams share read-only:
+the (weight, conditional row) pairs of positive weight of exact level b.  b = 2
 from level 3 up, in the rows ``ensemble._level_chunks`` lays out over the
 exact level-1 ensemble, if ``ensemble._level_fits`` finds at most
-``_MAX_TABLE_ROWS``; otherwise b = 1, the level map of the base noise.  A
-sample draws its n^(L-b) bottom rows from the table.  Each higher tree level
-is one kernel call on every node of a chunk of samples: each node draws a
-syndrome and passes its conditional row up.  The root draws nothing: a
+``_MAX_TABLE_ROWS``; otherwise b = 1, the level map of the base noise.  The
+last table built is kept: a call at the same code, noise and table level (an
+escalated search probe, or more samples at one p) reads it instead of building
+it again, and gets the same bits.
+
+A sample draws its n^(L-b) bottom rows from the table.  Each higher tree
+level is one kernel call on every node of a chunk of samples: each node draws
+a syndrome and passes its conditional row up.  The root draws nothing: a
 sample scores sum_s w_s H(q_s) over the root's syndromes s (Rao-Blackwell:
 the same mean, a smaller variance).  The root is not optimized, since a
 logical recovery only relabels it.  At level 1 the drawn leaf is scored.
@@ -45,7 +49,9 @@ from .levelmap import _MAX_BLOCKS, _coset_map_batch, _conditional, coset_map_pro
 __all__ = ["MCEstimate", "mc_concatenate"]
 
 #: Most rows of a level-2 sampling table, counted before it is built; above
-#: it the table is level 1.  Steane depolarizing holds 59,520 (2.3 MiB).
+#: it the table is level 1.  Steane depolarizing holds 59,520 (3.6 MiB with
+#: weights and features).  One table stays resident between calls: 64 MiB at
+#: the cap.
 _MAX_TABLE_ROWS = 1 << 20
 
 
@@ -80,9 +86,24 @@ class _Table:
 
 
 def _sampling_table(code: StabilizerCode, base_noise: PauliProbVec, levels: int) -> _Table:
-    """The table a level-``levels`` estimate draws its bottom channels from."""
-    child = ensemble.concatenate_exact(code, base_noise, 1) if levels >= 3 else None
-    if child is not None and ensemble._level_fits(code, child, _MAX_TABLE_ROWS):
+    """The table a level-``levels`` estimate draws its bottom channels from.
+
+    Kept for the next call at the same key: the code, the noise's bytes (so
+    -0.0 and 0.0 never share), whether the table may be level 2, and the two
+    values read now that decide whether it is, ``ensemble.BUDGET`` and
+    ``_MAX_TABLE_ROWS``.
+    """
+    return _kept_table(code, base_noise.as_array().tobytes(), levels >= 3,
+                       ensemble.BUDGET, _MAX_TABLE_ROWS)
+
+
+@functools.lru_cache(maxsize=1)
+def _kept_table(code: StabilizerCode, noise: bytes, deep: bool, budget: int,
+                max_rows: int) -> _Table:
+    """Builds the table; ``budget`` is only a key, as ``ensemble`` reads BUDGET itself."""
+    base_noise = PauliProbVec.from_array(np.frombuffer(noise))
+    child = ensemble.concatenate_exact(code, base_noise, 1) if deep else None
+    if child is not None and ensemble._level_fits(code, child, max_rows):
         level, chunks = 2, ensemble._level_chunks(code, child)
     else:
         # the raw noise, not its normalized singleton ensemble: level 1 keeps its bits
@@ -95,7 +116,7 @@ def _sampling_table(code: StabilizerCode, base_noise: PauliProbVec, levels: int)
     h = row_entropy(rows)
     table = _Table(level, weights, cum, rows, np.column_stack([h, h * h]))
     for array in (weights, cum, rows, table.features):
-        array.setflags(write=False)  # the streams share it
+        array.setflags(write=False)  # the streams and later calls share it
     return table
 
 

@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from concatqec import (
     mc_concatenate,
     noise_family,
 )
-from concatqec import levelmap, montecarlo
+from concatqec import ensemble, levelmap, montecarlo
 from concatqec.ensemble import exact_level_entropy
 from concatqec.reference import REFERENCE_TABLES
 from conftest import random_code
@@ -112,13 +114,95 @@ def test_level_three_falls_back_to_the_level_one_table(codes, monkeypatch):
     noise = noise_family("depolarizing", 1e-4)
     assert concatenate_exact(codes["steane"], noise, 1).size == 9
     assert montecarlo._sampling_table(codes["steane"], noise, 3).level == 1
-    # exact level-3 entropy 1 bit within about 4e-8 (see above)
+    # exact level-3 entropy 1 bit within about 4e-8 (see above).  The cell is
+    # warm first: a cap read after a kept level-2 table still decides the level.
     code = codes["five-qubit"]
     noise = noise_family("depolarizing", _five_qubit_level_three_p_star())
-    monkeypatch.setattr(montecarlo, "_MAX_TABLE_ROWS", 1)
-    assert montecarlo._sampling_table(code, noise, 3).level == 1
-    est = mc_concatenate(code, noise, 3, 4000, seed=4)
-    assert abs(est.mean_entropy - 1.0) < 3.0 * est.std_error
+    for name, module, value in (("_MAX_TABLE_ROWS", montecarlo, 1), ("BUDGET", ensemble, 1)):
+        mc_concatenate(code, noise, 3, 100, seed=4)
+        assert montecarlo._sampling_table(code, noise, 3).level == 2
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, value)
+            assert montecarlo._sampling_table(code, noise, 3).level == 1
+            est = mc_concatenate(code, noise, 3, 4000, seed=4)
+            assert abs(est.mean_entropy - 1.0) < 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("name, levels", [
+    *(("five-qubit", levels) for levels in (1, 2, 3, 4)),
+    ("steane", 2), ("steane", 3),
+])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kept_table_gives_the_bits_of_a_built_one(codes, name, levels, threads):
+    code, noise = codes[name], noise_family("depolarizing", 0.0629)
+    montecarlo._kept_table.cache_clear()
+    cold = mc_concatenate(code, noise, levels, 200, seed=6, threads=threads)
+    mc_concatenate(code, noise, levels, 50, seed=1)
+    assert montecarlo._kept_table.cache_info().hits >= 1
+    assert mc_concatenate(code, noise, levels, 200, seed=6, threads=threads) == cold
+
+
+def test_kept_table_is_built_once_per_code_noise_and_table_level(codes, monkeypatch):
+    builds = []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            builds.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((ensemble, "_level_chunks"), (ensemble, "concatenate_exact"),
+                         (montecarlo, "coset_map_probs")):
+        counting(module, name)
+    code = codes["steane"]
+
+    def built(p, levels):
+        builds.clear()
+        mc_concatenate(code, noise_family("depolarizing", p), levels, 40, seed=2)
+        return bool(builds)
+
+    montecarlo._kept_table.cache_clear()
+    assert built(0.0627, 3)
+    assert not built(0.0627, 3)
+    assert built(0.0628, 3)  # another p
+    assert built(0.0628, 2)  # level 2 draws from the level-1 table
+    assert not built(0.0628, 1)  # and so does level 1
+    assert built(0.0628, 3)
+    # -0.0 and 0.0 never share a table
+    noise = PauliProbVec.from_array(np.array([0.9, 0.05, 0.05, 0.0]))
+    montecarlo._sampling_table(code, noise, 3)
+    builds.clear()
+    montecarlo._sampling_table(code, PauliProbVec.from_array(np.array([0.9, 0.05, 0.05, -0.0])), 3)
+    assert builds
+
+
+def test_concurrent_calls_share_the_kept_table(codes):
+    # a race may build the table twice; every call still gets the same estimate
+    code, noise = codes["steane"], noise_family("depolarizing", 0.0627)
+    montecarlo._kept_table.cache_clear()
+    serial = mc_concatenate(code, noise, 3, 200, seed=5)
+    montecarlo._kept_table.cache_clear()
+    start, results = threading.Barrier(4), []
+
+    def call():
+        start.wait()
+        results.append(mc_concatenate(code, noise, 3, 200, seed=5))
+
+    workers = [threading.Thread(target=call) for _ in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert results == [serial] * 4
 
 
 def test_round_off_spread_gives_zero_standard_error():

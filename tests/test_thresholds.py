@@ -17,6 +17,7 @@ from concatqec import (
     unoptimized_threshold,
 )
 from concatqec import ensemble as ensemble_module
+from concatqec import montecarlo
 from concatqec import thresholds as thresholds_module
 from concatqec.channels import HAD4
 from concatqec.reference import EXACT_RTOL, REFERENCE_TABLES
@@ -385,6 +386,31 @@ def test_monte_carlo_search_draws_at_most_samples(codes, monkeypatch):
     monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
     entropy_critical_p(codes["rep3"], "depolarizing", 1, method="mc", samples=100)
     assert counts and max(counts) == 100
+
+
+def test_monte_carlo_search_builds_one_table_per_probe(codes, monkeypatch):
+    # the kept table serves the escalated probes at one p; the fit's middle
+    # point is the search's center again, after two other fit points
+    real_mc, real_exact = thresholds_module.mc_concatenate, ensemble_module.concatenate_exact
+    called, built = [], []
+
+    def recording(code, noise, level, samples, **kwargs):
+        called.append(noise.p_x)
+        return real_mc(code, noise, level, samples, **kwargs)
+
+    def building(code, noise, levels):  # once per level-3 table build
+        built.append(noise.p_x)
+        return real_exact(code, noise, levels)
+
+    monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
+    monkeypatch.setattr(ensemble_module, "concatenate_exact", building)
+    montecarlo._kept_table.cache_clear()
+    entropy_critical_p(codes["five-qubit"], "depolarizing", 3, method="mc",
+                       samples=2000, seed=0)
+    runs = [p for i, p in enumerate(called) if i == 0 or called[i - 1] != p]
+    assert built == runs
+    assert montecarlo._kept_table.cache_info().misses == len(built)
+    assert len(called) > len(built) == len(set(called)) + 1
 
 
 @pytest.mark.parametrize("code, family, seed", [

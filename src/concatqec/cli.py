@@ -222,17 +222,10 @@ def _cmd_entropy(config: RunConfig) -> tuple[list[dict], int]:
 
 
 def _point_row(cp, config: RunConfig) -> dict:
-    return {
-        "code": cp.code,
-        "family": cp.family,
-        "level": cp.level,
-        "method": cp.method,
-        "p_star": cp.p_star,
-        "target_entropy": cp.target_entropy,
-        "uncertainty": cp.uncertainty,
-        "samples": config.samples if cp.method == "mc" else None,
-        "seed": config.seed if cp.method == "mc" else None,
-    }
+    row = asdict(cp)
+    if cp.method == "mc":  # only a sampled row has samples and a seed
+        row.update(samples=config.samples, seed=config.seed)
+    return row
 
 
 def _cmd_threshold(config: RunConfig) -> tuple[list[dict], int]:

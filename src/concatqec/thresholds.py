@@ -190,12 +190,15 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     of entropy - target once it tells p apart from the crossing, and 0 when
     it cannot, which ends the search at p.  Evaluation k draws with a seed
     derived from the pair (seed, k), so runs with different seeds share no
-    streams.  No draw takes more than ``samples``.  The search's final bracket
-    sets the fit window: its secant slope, positive by construction, turns 6
-    standard errors of the entropy at the center into a half-width.  Five
-    points across the window are fitted by ordinary least squares, the
-    covariance scaled by the pooled variance mean(se_i**2); a point without
-    a finite, nonzero standard error raises ChannelError.
+    streams.  No draw takes more than ``samples``.  The center's estimate at
+    ``samples`` is the search's own, or one fresh draw when the bracket closed
+    below ``tol`` before any zero.  The search's final bracket sets the fit
+    window: its secant slope, positive by construction, turns 6 standard
+    errors of that estimate into a half-width.  Five points across the window,
+    the center's estimate in the middle and four new draws, are fitted by
+    ordinary least squares, the covariance scaled by the pooled variance
+    mean(se_i**2); a point without a finite, nonzero standard error raises
+    ChannelError.
     """
     evals = itertools.count()
 
@@ -210,16 +213,13 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
     def side(p: float) -> float:
         # The endpoints are one n0 draw each and never the crossing: the fit
         # below needs room on both sides of its center.
-        inside = lo < p < hi
         n = n0
-        est = measure(p, n)
-        while (inside and abs(est.mean_entropy - target) < 3.0 * est.std_error
-               and n < samples):
+        estimates[p] = est = measure(p, n)
+        while lo < p < hi and abs(est.mean_entropy - target) < 3.0 * est.std_error:
+            if n == samples:
+                return 0.0
             n = min(4 * n, samples)
-            est = measure(p, n)
-        estimates[p] = est
-        if inside and abs(est.mean_entropy - target) < 3.0 * est.std_error:
-            return 0.0
+            estimates[p] = est = measure(p, n)
         return float(np.sign(est.mean_entropy - target))
 
     try:
@@ -229,17 +229,19 @@ def _mc_critical_p(code, family, level, target, lo, hi, tol, *,
                          estimates[hi].mean_entropy, target) from None
     if center in (lo, hi):  # an endpoint measured exactly at target
         return CriticalPoint(code.name, family, level, center, target, "mc", 0.0)
-    # a fresh draw when the bracket closed below tol before any zero
-    sigma_e = (estimates.get(center) or measure(center, samples)).std_error
+    # side() returns 0 only at samples draws; a bracket that closed below tol
+    # before any zero leaves the center to one fresh draw
+    middle = estimates.get(center) or measure(center, samples)
 
     # the nearest probes on each side are the final bracket, of definite sign
     below = max(p for p in estimates if p < center)
     above = min(p for p in estimates if p > center)
     rise = estimates[above].mean_entropy - estimates[below].mean_entropy
-    span = min(max(6.0 * sigma_e * (above - below) / rise, 1e-4 * center),
+    span = min(max(6.0 * middle.std_error * (above - below) / rise, 1e-4 * center),
                0.99 * center, hi - center)
     ps = np.linspace(center - span, center + span, 5)
-    fit = [measure(float(p), samples) for p in ps]
+    ps[2] = center
+    fit = [middle if k == 2 else measure(float(p), samples) for k, p in enumerate(ps)]
     means = np.array([est.mean_entropy for est in fit])
     errs = np.array([est.std_error for est in fit])
     if not np.all((errs > 0.0) & (errs < np.inf)):

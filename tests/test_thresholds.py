@@ -388,29 +388,70 @@ def test_monte_carlo_search_draws_at_most_samples(codes, monkeypatch):
     assert counts and max(counts) == 100
 
 
-def test_monte_carlo_search_builds_one_table_per_probe(codes, monkeypatch):
-    # the kept table serves the escalated probes at one p; the fit's middle
-    # point is the search's center again, after two other fit points
-    real_mc, real_exact = thresholds_module.mc_concatenate, ensemble_module.concatenate_exact
-    called, built = [], []
+def _record_search(monkeypatch):
+    """Patches the search's mc_concatenate; returns its (p, samples, estimate) calls."""
+    real = thresholds_module.mc_concatenate
+    called = []
 
     def recording(code, noise, level, samples, **kwargs):
-        called.append(noise.p_x)
-        return real_mc(code, noise, level, samples, **kwargs)
+        est = real(code, noise, level, samples, **kwargs)
+        called.append((noise.p_x, samples, est))  # p_x is p under depolarizing
+        return est
+
+    monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
+    return called
+
+
+def _check_fit(called, cp, samples):
+    """The last four calls are the fit's new draws; the center is drawn once at
+    samples, and its estimate is the fit's middle point.  Returns the center."""
+    search, fit = called[:-4], called[-4:]
+    full = [p for p, n, _ in called if n == samples]
+    assert len(full) == len(set(full))
+    assert all(n == samples for _, n, _ in fit)
+    center = 0.5 * (fit[1][0] + fit[2][0])
+    (middle,) = [c for c in search if c[0] == pytest.approx(center, rel=1e-12)
+                 and c[1] == samples]
+    points = [fit[0], fit[1], middle, fit[2], fit[3]]
+    ps = np.array([p for p, _, _ in points]) - middle[0]
+    slope, offset = np.polyfit(ps, [est.mean_entropy for _, _, est in points], 1)
+    assert cp.p_star == pytest.approx(middle[0] + (1.0 - offset) / slope, rel=1e-12)
+    return middle[0]
+
+
+def test_monte_carlo_search_builds_one_table_per_probe(codes, monkeypatch):
+    # the kept table serves the escalated probes at one p, and the fit's
+    # middle point is the search's estimate at its center, not a new draw
+    called = _record_search(monkeypatch)
+    real_exact = ensemble_module.concatenate_exact
+    built = []
 
     def building(code, noise, levels):  # once per level-3 table build
         built.append(noise.p_x)
         return real_exact(code, noise, levels)
 
-    monkeypatch.setattr(thresholds_module, "mc_concatenate", recording)
     monkeypatch.setattr(ensemble_module, "concatenate_exact", building)
     montecarlo._kept_table.cache_clear()
-    entropy_critical_p(codes["five-qubit"], "depolarizing", 3, method="mc",
-                       samples=2000, seed=0)
-    runs = [p for i, p in enumerate(called) if i == 0 or called[i - 1] != p]
-    assert built == runs
+    cp = entropy_critical_p(codes["five-qubit"], "depolarizing", 3, method="mc",
+                            samples=2000, seed=0)
+    ps = [p for p, _, _ in called]
+    runs = [p for i, p in enumerate(ps) if i == 0 or ps[i - 1] != p]
+    assert built == runs == list(dict.fromkeys(ps))
     assert montecarlo._kept_table.cache_info().misses == len(built)
-    assert len(called) > len(built) == len(set(called)) + 1
+    center = _check_fit(called, cp, 2000)
+    # the search ended on a zero: the center was escalated to samples
+    assert [n for p, n, _ in called if p == center] == [500, 2000]
+
+
+def test_monte_carlo_closed_bracket_draws_the_center_once(codes, monkeypatch):
+    # at a coarse tol the bracket closes before any probe is a zero; the one
+    # fresh draw at its interpolated center is the fit's middle point
+    called = _record_search(monkeypatch)
+    cp = entropy_critical_p(codes["five-qubit"], "depolarizing", 2, method="mc",
+                            samples=2000, seed=1, tol=1e-3)
+    center = _check_fit(called, cp, 2000)
+    assert [p for p, _, _ in called[:-4]].index(center) == len(called) - 5
+    assert any(n == 2000 for _, n, _ in called[:-5])  # an escalated, decided probe
 
 
 @pytest.mark.parametrize("code, family, seed", [

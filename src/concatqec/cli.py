@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import io
 import json
+import logging
 import math
 import os
 import sys
@@ -39,6 +41,9 @@ from .thresholds import (
 __all__ = ["main", "RunConfig"]
 
 SCHEMA_VERSION = 2
+
+#: Streams of a Monte Carlo call, the most worker threads that run on it.
+_STREAMS = inspect.signature(mc_concatenate).parameters["streams"].default
 
 #: Fixed, versioned column orders (schema version SCHEMA_VERSION).
 COLUMNS = {
@@ -367,6 +372,10 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
+    if config.threads > (workers := min(_STREAMS, config.samples)):
+        logging.getLogger("concatqec").warning(
+            "--threads %d: at most %d worker threads run, one per Monte Carlo stream",
+            config.threads, workers)
     try:
         rows, status = _SUBCOMMANDS[args.command][0](config)
     except (NoStraddle, BudgetExceeded, ChannelError, CodeError) as exc:

@@ -158,8 +158,20 @@ def _merge_close(weights: np.ndarray, channels: np.ndarray):
     return out_w, out_c / out_w[:, None]
 
 
+def _key_groups(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, axis=0, return_inverse=True) of int64 rows, by lexsort's
+    radix sort of 16-bit keys: the sign-flipped columns' little-endian digits."""
+    order = np.lexsort((keys[:, ::-1] ^ (-1 << 63)).astype("<i8", copy=False).view("<u2").T)
+    keys = keys[order]
+    start = np.ones(keys.shape[0], dtype=bool)
+    np.any(keys[1:] != keys[:-1], axis=1, out=start[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(start) - 1
+    return keys[start], inverse
+
+
 class _Accumulator:
-    """Streaming dedup of (weight, channel) rows on a DEDUP_TOL grid."""
+    """Streaming dedup of (weight, channel) rows on a DEDUP_TOL grid, in lexicographic key order."""
 
     #: Buffered rows are compacted once they exceed this count.
     _COMPACT_AT = 1 << 21
@@ -177,13 +189,11 @@ class _Accumulator:
             self._compact()
 
     def _compact(self):
-        keys = np.concatenate(self._keys)
-        wc = np.concatenate(self._wc)
-        uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-        out = np.empty((uniq.shape[0], 5))
-        for j in range(5):
-            out[:, j] = np.bincount(inverse, weights=wc[:, j],
-                                    minlength=uniq.shape[0])
+        # Drop each buffer once it is copied; a build's peak memory is here.
+        keys, self._keys = np.concatenate(self._keys), None
+        wc, self._wc = np.concatenate(self._wc), None
+        uniq, inverse = _key_groups(keys)
+        out = np.column_stack([np.bincount(inverse, col, uniq.shape[0]) for col in wc.T])
         self._keys, self._wc, self._pending = [uniq], [out], uniq.shape[0]
 
     def finish(self) -> tuple[np.ndarray, np.ndarray]:

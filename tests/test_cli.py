@@ -2,11 +2,16 @@ import argparse
 import csv
 import dataclasses
 import json
+import logging
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import concatqec
 from concatqec import cli, ensemble
 from concatqec.cli import COLUMNS, SCHEMA_VERSION, main
 from concatqec.reference import ReferenceCell, exact_cells, sampled_cells
@@ -153,6 +158,42 @@ def test_byte_identical_reruns(tmp_path, capsys):
     assert strip(raw_a) == strip(raw_b)
     assert main([*args[:-1], "4", "--out", str(c)]) == 0  # different seed
     assert strip(c.read_bytes()) != strip(raw_a)
+
+
+MC_ENTROPY = ("entropy", "--code", "rep3", "--family", "depolarizing", "--p", "0.06",
+              "--levels", "2", "--method", "mc")
+
+
+def threads_warning(threads, workers):
+    return f"--threads {threads}: at most {workers} worker threads run, one per Monte Carlo stream"
+
+
+@pytest.mark.parametrize("samples,threads,workers", [
+    (500, 9, 8), (3, 4, 3),  # more threads than streams: warned
+    (500, 8, None), (3, 3, None),
+])
+def test_threads_above_the_streams_warn(capsys, caplog, samples, threads, workers):
+    args = (*MC_ENTROPY, "--samples", str(samples))
+    with caplog.at_level(logging.WARNING, logger="concatqec"):
+        code, out, _ = run(capsys, *args, "--threads", str(threads))
+    assert code == 0
+    warned = [r.getMessage() for r in caplog.records if r.name == "concatqec"]
+    assert warned == ([threads_warning(threads, workers)] if workers else [])
+    # the output is a one-thread run's, but for the echoed thread count
+    _, one, _ = run(capsys, *args)
+    assert out.replace(f'"threads": {threads}}}', '"threads": 1}') == one
+
+
+def test_threads_warning_goes_to_stderr():
+    env = dict(os.environ)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(concatqec.__file__)))
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "concatqec.cli", *MC_ENTROPY, "--samples", "500",
+         "--threads", "9"], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0
+    assert proc.stderr == threads_warning(9, 8) + "\n"
+    assert parse_csv(proc.stdout)[2][0]["samples"] == "500"
 
 
 def test_mc_row_reports_samples_and_seed(capsys, monkeypatch):

@@ -304,6 +304,78 @@ def test_accumulator_merges_grid_boundary_splits_of_many_rows():
                        rtol=0.0, atol=1e-15)
 
 
+def unique_compact(self):
+    """_Accumulator._compact through np.unique(axis=0), the oracle of its sort."""
+    keys, wc = np.concatenate(self._keys), np.concatenate(self._wc)
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    out = np.column_stack([np.bincount(inverse.reshape(-1), col, uniq.shape[0])
+                           for col in wc.T])
+    self._keys, self._wc, self._pending = [uniq], [out], uniq.shape[0]
+
+
+def key_cases():
+    rng = np.random.default_rng(24)
+    top = round(1 / DEDUP_TOL)
+    edges = [np.iinfo(np.int64).min, -1, 0, 1, top, np.iinfo(np.int64).max]
+    pool = np.vstack([rng.integers(-2**63, 2**63, size=(30, 4)),
+                      rng.choice(edges, size=(30, 4))])
+    return {
+        "int64 with many duplicates": pool[rng.integers(0, 60, 3000)],
+        "few values": rng.integers(-2, 2, size=(3000, 4)),
+        "empty": np.empty((0, 4), dtype=np.int64),
+        "one row": np.array([[top, 0, -5, 7]]),
+        "all rows equal": np.full((50, 4), top),
+        "only the last column differs": np.column_stack(
+            [np.full((500, 3), 12345), rng.integers(0, 4, 500)]),
+        "grid keys": rng.choice([0, 1, 2, top // 2, top - 1, top], size=(3000, 4)),
+        "grid keys, one sum": np.column_stack(
+            [k := rng.integers(0, top // 3, size=(2000, 3)) // 10**7 * 10**7,
+             top - k.sum(axis=1)]),
+    }
+
+
+@pytest.mark.parametrize("case", list(key_cases()))
+def test_compact_groups_rows_as_unique_does(case):
+    keys = key_cases()[case]
+    wc = np.random.default_rng(0).random((keys.shape[0], 5))
+    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)
+    got_uniq, got_inverse = ensemble_module._key_groups(keys)
+    assert got_uniq.dtype == uniq.dtype and np.array_equal(got_uniq, uniq)
+    assert np.array_equal(got_inverse, inverse)
+    acc = _Accumulator()
+    acc._keys, acc._wc = [keys[:7], keys[7:]], [wc[:7], wc[7:]]
+    acc._compact()
+    assert np.array_equal(acc._keys[0], uniq)
+    want = np.column_stack([np.bincount(inverse, col, uniq.shape[0]) for col in wc.T])
+    assert acc._wc[0].tobytes() == want.tobytes()
+    assert acc._pending == uniq.shape[0]
+
+
+def compacting_mid_stream(monkeypatch, build):
+    """build() with np.unique compaction at the real sizes, then with the real
+    _compact over 16-assignment chunks, compacting every 64 rows; and the
+    number of compactions in the second build."""
+    with monkeypatch.context() as m:
+        m.setattr(_Accumulator, "_compact", unique_compact)
+        want = build()
+    compactions = []
+    compact = _Accumulator._compact
+    with monkeypatch.context() as m:
+        m.setattr(_Accumulator, "_compact",
+                  lambda self: compactions.append(compact(self)))
+        m.setattr(ensemble_module, "_MAX_BLOCKS", 16)
+        m.setattr(_Accumulator, "_COMPACT_AT", 64)
+        got = build()
+    return want, got, len(compactions)
+
+
+def assert_same_bytes(got, want):
+    assert got.size == want.size
+    assert got.weights.tobytes() == want.weights.tobytes()
+    assert got.channels.tobytes() == want.channels.tobytes()
+
+
 @pytest.mark.parametrize("name,family,p", [
     ("five-qubit", "indep-flips", 0.1095),
     ("steane", "indep-flips", 0.1096),
@@ -313,18 +385,32 @@ def test_compacting_mid_stream_leaves_the_build_byte_identical(codes, monkeypatc
                                                                 name, family, p):
     # only builds of over 2^21 rows compact before finish() at the real sizes
     code, noise = codes[name], noise_family(family, p)
-    want = concatenate_exact(code, noise, 2)
-    compactions = []
-    compact = _Accumulator._compact
-    monkeypatch.setattr(_Accumulator, "_compact",
-                        lambda self: compactions.append(compact(self)))
+    want, got, compactions = compacting_mid_stream(
+        monkeypatch, lambda: concatenate_exact(code, noise, 2))
+    assert compactions > 2  # more than the two finish() calls
+    assert_same_bytes(got, want)
+
+
+def test_compacting_mid_stream_leaves_random_code_builds_byte_identical(
+        random_codes, monkeypatch):
+    # Both builds take 16-assignment chunks: on some random codes the kernel's
+    # last bits move with the chunk size, whatever the accumulator does.
     monkeypatch.setattr(ensemble_module, "_MAX_BLOCKS", 16)
-    monkeypatch.setattr(_Accumulator, "_COMPACT_AT", 64)
-    got = concatenate_exact(code, noise, 2)
-    assert len(compactions) > 2  # more than the two finish() calls
-    assert got.size == want.size
-    assert got.weights.tobytes() == want.weights.tobytes()
-    assert got.channels.tobytes() == want.channels.tobytes()
+    # symmetric child channels give many rows per grid cell
+    child = ChannelEnsemble(np.array([0.5, 0.3, 0.2]), np.array([
+        noise_family(f, p).as_array()
+        for f, p in [("depolarizing", 0.05), ("depolarizing", 0.1), ("indep-flips", 0.1)]]))
+    builds = compactions = 0
+    for code in random_codes:
+        levels = [child]
+        while len(levels) < 3 and levels[-1].size ** code.n <= 10 ** 4:
+            want, got, n = compacting_mid_stream(
+                monkeypatch, lambda: exact_level(code, levels[-1]))
+            assert_same_bytes(got, want)
+            levels.append(got)
+            builds, compactions = builds + 1, compactions + n
+    assert builds > len(random_codes)
+    assert compactions > 4 * builds  # more than one finish() call per build
 
 
 # ------------------------------------------------------- orbit enumeration

@@ -45,6 +45,9 @@ SCHEMA_VERSION = 2
 #: Streams of a Monte Carlo call, the most worker threads that run on it.
 _STREAMS = inspect.signature(mc_concatenate).parameters["streams"].default
 
+#: Environment variables that pin a BLAS to one thread when one of them is "1".
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 #: Fixed, versioned column orders (schema version SCHEMA_VERSION).
 COLUMNS = {
     "entropy": ("code", "family", "p", "level", "method", "entropy",
@@ -372,10 +375,13 @@ def main(argv=None) -> int:
         config = _resolve_config(args)
     except UsageError as exc:
         parser.error(str(exc))  # exits 2
-    if config.threads > (workers := min(_STREAMS, config.samples)):
-        logging.getLogger("concatqec").warning(
-            "--threads %d: at most %d worker threads run, one per Monte Carlo stream",
-            config.threads, workers)
+    log, workers = logging.getLogger("concatqec"), min(_STREAMS, config.samples)
+    if config.threads > workers:
+        log.warning("--threads %d: at most %d worker threads run, one per Monte Carlo stream",
+                    config.threads, workers)
+    if min(config.threads, workers) > 1 and "1" not in map(os.environ.get, _BLAS_THREADS):
+        log.warning("--threads %d: BLAS is not pinned to one thread, so the worker threads "
+                    "compete for cores; set OPENBLAS_NUM_THREADS=1", config.threads)
     try:
         rows, status = _SUBCOMMANDS[args.command][0](config)
     except (NoStraddle, BudgetExceeded, ChannelError, CodeError) as exc:

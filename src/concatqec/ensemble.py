@@ -30,7 +30,7 @@ import numpy as np
 
 from .channels import HAD4, KLEIN, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode, qubit_automorphisms
-from .levelmap import _MAX_BLOCKS, _conditional, _coset_map_batch
+from .levelmap import _batches, _conditional, _coset_map_batch
 
 __all__ = [
     "DEDUP_TOL",
@@ -219,9 +219,8 @@ def _ordered_chunks(code: StabilizerCode, child: ChannelEnsemble):
     size = child.size
     strides = size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
     diag = child.channels @ HAD4.T
-    total = size ** code.n
-    for start in range(0, total, _MAX_BLOCKS):
-        t = np.arange(start, min(start + _MAX_BLOCKS, total), dtype=np.int64)
+    for batch in _batches(size ** code.n):
+        t = np.arange(batch.start, batch.stop, dtype=np.int64)
         idx = (t[:, None] // strides) % size
         yield child.weights[idx].prod(axis=1), diag[idx]
 
@@ -275,9 +274,9 @@ def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble):
         return
     entries, mult = _orbit_table(code, child.size)
     diag = child.channels @ HAD4.T
-    for start in range(0, mult.size, _MAX_BLOCKS):
-        idx = entries[start:start + _MAX_BLOCKS]
-        yield mult[start:start + _MAX_BLOCKS] * child.weights[idx].prod(axis=1), diag[idx]
+    for batch in _batches(mult.size):
+        idx = entries[batch]
+        yield mult[batch] * child.weights[idx].prod(axis=1), diag[idx]
 
 
 def _level_chunks(code: StabilizerCode, child: ChannelEnsemble):

@@ -50,7 +50,7 @@ _CLS_TABLE = np.array([[0, 3], [1, 2]], dtype=np.int64)
 #: Inverse of the probability-to-diagonal transform HAD4.
 _H4 = HAD4 / 4.0
 
-#: Most blocks per :func:`_coset_map_batch` call: 8 MiB per kernel array for Steane.
+#: Most blocks per :func:`_batches` slice: 8 MiB per kernel array for Steane.
 _MAX_BLOCKS = 4096
 
 #: Pauli X and Z as dense matrices, for :func:`pauli_matrix`.
@@ -120,6 +120,15 @@ def _code_tables(code: StabilizerCode):
     pop = np.array([bin(v).count("1") for v in range(n_syn)])
     walsh = (1 - 2 * (pop[a[:, None] & a] & 1))[None] * pre[:, None, :] / n_syn
     return letters, walsh
+
+
+def _batches(items: int, per_item: int = 1) -> list[slice]:
+    """Slices of range(items) for one kernel loop, each of at most max(1, _MAX_BLOCKS
+    // per_item) items, but a last lone item joins the slice before it: a one-block
+    kernel call takes another matmul path and gives other bits."""
+    step = max(1, _MAX_BLOCKS // per_item)
+    bounds = [0, *range(step, items - 1, step), items]
+    return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _coset_map_batch(code: StabilizerCode, diags: np.ndarray) -> np.ndarray:

@@ -24,9 +24,10 @@ mean unbiased; a single stream is not adjusted).  The standard error is that
 of the adjusted scores, and 0 when they all lie within 64 ulp of their largest
 magnitude, the round-off convention of ``thresholds._root``.
 
-A chunk holds as many samples as keep its widest kernel call within
-``_MAX_BLOCKS`` blocks, which bounds memory by bytes, not by samples; a sample
-wider than that (Steane from level 8) makes a chunk alone.  The streams run on
+A chunk (``levelmap._batches``) holds as many samples as keep its widest kernel
+call within ``_MAX_BLOCKS`` blocks, bounding memory by bytes, not samples; a
+sample over half that (Steane from level 7) makes a chunk alone, and a last
+lone sample joins the chunk before it.  The streams run on
 min(threads, streams) worker threads, seeded by (seed, stream), so results are
 deterministic for a fixed stream count regardless of thread count.  The pool
 of each worker count is kept across calls.
@@ -44,7 +45,7 @@ import numpy as np
 from . import ensemble
 from .channels import _ROUNDOFF, HAD4, ChannelError, PauliProbVec, row_entropy
 from .codes import StabilizerCode
-from .levelmap import _MAX_BLOCKS, _coset_map_batch, _conditional, coset_map_probs
+from .levelmap import _batches, _coset_map_batch, _conditional, coset_map_probs
 
 __all__ = ["MCEstimate", "mc_concatenate"]
 
@@ -140,15 +141,14 @@ class _StreamWorker:
         """Scores of n_samples samples, and the summed table features of their draws."""
         n, levels, table = self.code.n, self.levels, self.table
         kernel_levels = levels - table.level  # the root's included
-        chunk = max(1, _MAX_BLOCKS // n ** max(kernel_levels - 1, 0))
         ent = np.empty(n_samples)
         features = np.empty((n_samples, 2))
-        for start in range(0, n_samples, chunk):
-            s = min(chunk, n_samples - start)
+        for chunk in _batches(n_samples, n ** max(kernel_levels - 1, 0)):
+            s = chunk.stop - chunk.start
             idx = np.searchsorted(table.cum, rng.random((s, n ** kernel_levels)),
                                   side="right")
             rows = table.rows[idx]
-            features[start:start + s] = table.features[idx].sum(axis=1)
+            features[chunk] = table.features[idx].sum(axis=1)
             for _ in range(kernel_levels - 1):
                 w, cond = self._maps(rows)
                 cum = np.cumsum(w, axis=1)
@@ -156,10 +156,10 @@ class _StreamWorker:
                 beta = (cum <= rng.random(len(cum))[:, None]).sum(axis=1)
                 rows = cond[np.arange(len(cond)), beta]
             if kernel_levels == 0:
-                ent[start:start + s] = row_entropy(rows.reshape(s, 4))
+                ent[chunk] = row_entropy(rows.reshape(s, 4))
             else:
                 w, cond = self._maps(rows)
-                ent[start:start + s] = (w * row_entropy(cond)).sum(axis=1)
+                ent[chunk] = (w * row_entropy(cond)).sum(axis=1)
         return ent, features
 
 

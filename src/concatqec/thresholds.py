@@ -36,7 +36,8 @@ __all__ = [
 
 
 class NoStraddle(ValueError):
-    """The entropy at the bracket endpoints does not straddle the target."""
+    """The entropy at the bracket endpoints does not straddle the target, or
+    straddles it only by a round-off too small to place the crossing."""
 
     def __init__(self, lo: float, hi: float, e_lo: float, e_hi: float, target: float):
         super().__init__(
@@ -107,7 +108,11 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
     step is the bisection midpoint.  Returns an endpoint where f equals
     target, or the first probe within round-off of it (64 eps max(1,
     |target|)), otherwise the interpolated point of the final bracket, which
-    is no wider than ``tol``, which must be positive and finite.
+    is no wider than ``tol``, which must be positive and finite.  A probe
+    within round-off ends the search only if, on the bracket's secant,
+    round-off pins p to within ``tol`` (plus two ulp of p, its float spacing);
+    otherwise f is too flat to place its crossing, and the search raises
+    NoStraddle for that bracket.
     """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, not {tol!r}")
@@ -138,8 +143,10 @@ def _root(f, lo: float, hi: float, target: float, tol: float) -> float:
             hi, g_hi = x, g
         elif g < -round_off:
             lo, g_lo = x, g
-        else:
+        elif round_off * (hi - lo) <= (tol + 2.0 * math.ulp(x)) * (g_hi - g_lo):
             return x
+        else:  # on the bracket's secant, round-off spans more than tol of p
+            raise NoStraddle(lo, hi, g_lo + target, g_hi + target, target)
     return (lo * g_hi - hi * g_lo) / (g_hi - g_lo)
 
 

@@ -172,7 +172,9 @@ def threads_warning(threads, workers):
     (500, 9, 8), (3, 4, 3),  # more threads than streams: warned
     (500, 8, None), (3, 3, None),
 ])
-def test_threads_above_the_streams_warn(capsys, caplog, samples, threads, workers):
+def test_threads_above_the_streams_warn(capsys, caplog, monkeypatch, samples, threads,
+                                        workers):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")  # no BLAS warning
     args = (*MC_ENTROPY, "--samples", str(samples))
     with caplog.at_level(logging.WARNING, logger="concatqec"):
         code, out, _ = run(capsys, *args, "--threads", str(threads))
@@ -185,7 +187,7 @@ def test_threads_above_the_streams_warn(capsys, caplog, samples, threads, worker
 
 
 def test_threads_warning_goes_to_stderr():
-    env = dict(os.environ)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     src = os.path.dirname(os.path.dirname(os.path.abspath(concatqec.__file__)))
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     proc = subprocess.run(
@@ -194,6 +196,31 @@ def test_threads_warning_goes_to_stderr():
     assert proc.returncode == 0
     assert proc.stderr == threads_warning(9, 8) + "\n"
     assert parse_csv(proc.stdout)[2][0]["samples"] == "500"
+
+
+@pytest.mark.parametrize("blas,threads,warned", [
+    ({}, 2, True),
+    ({var: "2" for var in cli._BLAS_THREADS}, 2, True),
+    ({}, 1, False),  # one worker thread
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, False),
+    ({"OMP_NUM_THREADS": "1"}, 2, False),
+    ({"MKL_NUM_THREADS": "1", "OMP_NUM_THREADS": "4"}, 2, False),
+])
+def test_threads_on_an_unpinned_blas_warn(capsys, caplog, monkeypatch, blas, threads,
+                                          warned):
+    for var in cli._BLAS_THREADS:
+        monkeypatch.delenv(var, raising=False)
+    for var, value in blas.items():
+        monkeypatch.setenv(var, value)
+    args = (*MC_ENTROPY, "--samples", "500")
+    with caplog.at_level(logging.WARNING, logger="concatqec"):
+        code, out, _ = run(capsys, *args, "--threads", str(threads))
+    assert code == 0
+    assert [r.getMessage() for r in caplog.records if r.name == "concatqec"] == (
+        [f"--threads {threads}: BLAS is not pinned to one thread, so the worker threads "
+         "compete for cores; set OPENBLAS_NUM_THREADS=1"] if warned else [])
+    _, one, _ = run(capsys, *args)
+    assert out.replace(f'"threads": {threads}}}', '"threads": 1}') == one
 
 
 def test_mc_row_reports_samples_and_seed(capsys, monkeypatch):
@@ -505,6 +532,15 @@ def test_no_crossing_exits_1(capsys):
     assert code == 1
     assert out == ""
     assert "no crossing of target 1.9 bits" in err
+
+
+def test_degenerate_crossing_exits_1(capsys):
+    # level 4 of rep3 depolarizing is 1 bit within round-off over its bracket
+    code, out, err = run(capsys, "threshold", "--code", "rep3", "--family",
+                         "depolarizing", "--levels", "4")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: no crossing of target 1.0 bits in [0.0536870912, ")
 
 
 def test_reproduce_tables_dry_run(capsys):

@@ -20,6 +20,7 @@ from concatqec import (
     noise_family,
 )
 from concatqec import ensemble as ensemble_module
+from concatqec import levelmap
 from concatqec.channels import KLEIN
 from concatqec.codes import qubit_automorphisms
 from concatqec.ensemble import DEDUP_TOL, _Accumulator, _optimize_rows
@@ -364,7 +365,7 @@ def compacting_mid_stream(monkeypatch, build):
     with monkeypatch.context() as m:
         m.setattr(_Accumulator, "_compact",
                   lambda self: compactions.append(compact(self)))
-        m.setattr(ensemble_module, "_MAX_BLOCKS", 16)
+        m.setattr(levelmap, "_MAX_BLOCKS", 16)
         m.setattr(_Accumulator, "_COMPACT_AT", 64)
         got = build()
     return want, got, len(compactions)
@@ -393,9 +394,6 @@ def test_compacting_mid_stream_leaves_the_build_byte_identical(codes, monkeypatc
 
 def test_compacting_mid_stream_leaves_random_code_builds_byte_identical(
         random_codes, monkeypatch):
-    # Both builds take 16-assignment chunks: on some random codes the kernel's
-    # last bits move with the chunk size, whatever the accumulator does.
-    monkeypatch.setattr(ensemble_module, "_MAX_BLOCKS", 16)
     # symmetric child channels give many rows per grid cell
     child = ChannelEnsemble(np.array([0.5, 0.3, 0.2]), np.array([
         noise_family(f, p).as_array()
@@ -411,6 +409,26 @@ def test_compacting_mid_stream_leaves_random_code_builds_byte_identical(
             builds, compactions = builds + 1, compactions + n
     assert builds > len(random_codes)
     assert compactions > 4 * builds  # more than one finish() call per build
+
+
+@pytest.mark.parametrize("max_blocks", [2, 3, 16])
+def test_exact_level_bytes_do_not_depend_on_the_block_cap(codes, random_codes,
+                                                          monkeypatch, max_blocks):
+    # a one-block kernel call takes another matmul path, so a chunk loop that
+    # left a lone last block would move the build's last bits
+    children = [(code, concatenate_exact(code, noise_family(family, p), 1))
+                for code in [*codes.values(), *random_codes]
+                for family, p in [("depolarizing", 0.07), ("indep-flips", 0.1)]]
+    want = [exact_level(code, child) for code, child in children]
+    monkeypatch.setattr(levelmap, "_MAX_BLOCKS", max_blocks)
+    kernel, blocks = ensemble_module._coset_map_batch, []
+    monkeypatch.setattr(ensemble_module, "_coset_map_batch",
+                        lambda code, diags: blocks.append(len(diags)) or kernel(code, diags))
+    for (code, child), w in zip(children, want):
+        blocks.clear()
+        assert_same_bytes(exact_level(code, child), w)
+        assert max(blocks) <= max_blocks + 1
+        assert min(blocks) > 1 or blocks == [1]
 
 
 # ------------------------------------------------------- orbit enumeration

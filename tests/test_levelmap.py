@@ -13,8 +13,9 @@ from concatqec import (
     coset_map_probs,
     general_map_oracle,
 )
+from concatqec import levelmap
 from concatqec.codes import get_code
-from concatqec.levelmap import BlockNoise, _blind_step, _coset_map_batch
+from concatqec.levelmap import BlockNoise, _batches, _blind_step, _coset_map_batch
 from concatqec.channels import HAD4, KLEIN
 from conftest import random_code
 
@@ -324,3 +325,21 @@ def test_recovery_relabeling_matches_probability_permutation(codes):
     g = general_map_oracle(bf2, sup, recoveries=[bf2.representatives[0], ix])
     quasi = (np.diag(g[1]) @ HAD4.T) / 4.0
     assert np.allclose(quasi / quasi.sum(), relabeled, atol=1e-12)
+
+
+@pytest.mark.parametrize("max_blocks", [1, 2, 3, 16, 4096])
+@pytest.mark.parametrize("per_item", [1, 7, 343, 5000])
+def test_batches_cover_every_item_once_without_a_lone_slice(monkeypatch, max_blocks,
+                                                            per_item):
+    monkeypatch.setattr(levelmap, "_MAX_BLOCKS", max_blocks)
+    cap = max(1, max_blocks // per_item)
+    for items in sorted({1, 2, 3, cap, cap + 1, cap + 2, 2 * cap + 1, 5 * cap + 3, 9000}):
+        batches = _batches(items, per_item)
+        # in order, each item once
+        assert [i for b in batches for i in range(items)[b]] == list(range(items))
+        sizes = [b.stop - b.start for b in batches]
+        assert max(sizes) <= cap + 1
+        if cap == 1:  # one item per slice, but the last two share one
+            assert sizes == [1] * (items - 2) + [2] if items > 1 else sizes == [1]
+        elif items > 1:
+            assert min(sizes) > 1

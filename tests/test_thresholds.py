@@ -257,6 +257,31 @@ def test_root_stops_at_round_off_of_target():
     assert probes == [0.0, 1.0]
 
 
+def test_root_refuses_a_probe_that_round_off_cannot_place():
+    # 1e-13 bits per unit p: every probe is within round-off of the target,
+    # which leaves the root anywhere in a bracket far wider than tol
+    f, probes = _recording(lambda p: 1.0 + 1e-13 * (p - 0.0631))
+    with pytest.raises(NoStraddle) as info:
+        thresholds_module._root(f, 0.0, 1.0 / 3.0, 1.0, 1e-10)
+    assert len(probes) == 3
+    assert (info.value.lo, info.value.hi) == (0.0, 1.0 / 3.0)
+
+
+def test_degenerate_crossing_raises(codes):
+    # rep3 depolarizing L4 is 1 bit within round-off on [0.054, 0.081]: a probe
+    # there places p only to about 1e-4, far more than tol
+    with pytest.raises(NoStraddle) as info:
+        entropy_critical_p(codes["rep3"], "depolarizing", 4)
+    assert (info.value.lo, info.value.hi) == (0.0536870912, 0.0805306368)
+
+
+def test_shallow_crossing_still_ends_at_round_off(codes):
+    # rep3 depolarizing L3 rises about 2e-3 bits per unit p, steep enough for
+    # round-off to place its root within tol, so its band probe ends the search
+    cp = entropy_critical_p(codes["rep3"], "depolarizing", 3)
+    assert (cp.p_star, cp.method, cp.uncertainty) == (0.06254594778078386, "exact", 0.0)
+
+
 @pytest.mark.parametrize("tol", [1e-10, 1e-20])
 @pytest.mark.parametrize("shape", ["sign", "lopsided", "flat-then-steep"])
 def test_root_interior_evaluations_bounded(shape, tol):

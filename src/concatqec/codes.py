@@ -28,6 +28,7 @@ __all__ = [
     "get_code",
     "CLASS_LETTERS",
     "qubit_automorphisms",
+    "logical_permutations",
 ]
 
 #: Logical class order used for indices everywhere: 0=I, 1=X, 2=Y, 3=Z.
@@ -198,6 +199,40 @@ def _preserves_level_map(code: StabilizerCode, perm, signed: set, unsigned: set)
     return True
 
 
+def _qubit_maps(code: StabilizerCode, pi=(0, 1, 2, 3)):
+    """Qubit permutations g, lexicographically, such that letter map pi, then
+    moving qubit j to g[j], maps the unsigned stabilizer group onto itself.
+
+    Partial permutations are extended one qubit at a time and dropped once
+    the group restricted to their qubits, letters mapped, differs from the
+    group restricted to their images: on all n qubits, the condition itself.
+    """
+    n = code.n
+    stab = code.stabilizer_elements()
+    xs = np.array([s.x for s in stab], dtype=np.int64)
+    zs = np.array([s.z for s in stab], dtype=np.int64)
+    # letters[j, a]: the (x, z) bits of stabilizer element a at qubit j.
+    letters = np.stack([((xs >> j) & 1) | (((zs >> j) & 1) << 1) for j in range(n)])
+    xz = np.array([0, 1, 3, 2])  # bits of I, X, Y, Z; letter of bits 0 to 3
+    mapped = xz[np.asarray(pi)[xz]][letters]
+
+    def extend(perm: tuple[int, ...], key_dom: np.ndarray, key_img: np.ndarray):
+        k = len(perm)
+        if k == n:
+            yield perm
+            return
+        for q in range(n):
+            if q in perm:
+                continue
+            dom = key_dom | (mapped[k] << (2 * k))
+            img = key_img | (letters[q] << (2 * k))
+            if np.array_equal(np.unique(dom), np.unique(img)):
+                yield from extend(perm + (q,), dom, img)
+
+    zero = np.zeros(len(stab), dtype=np.int64)
+    return extend((), zero, zero)
+
+
 @functools.lru_cache(maxsize=None)
 def qubit_automorphisms(code: StabilizerCode) -> np.ndarray:
     """Qubit permutations that leave the code's level map unchanged.
@@ -209,42 +244,28 @@ def qubit_automorphisms(code: StabilizerCode) -> np.ndarray:
     j to qubit g[j] then only relabels the syndromes of the level map, each
     keeping its weight and conditional channel.
 
-    Partial permutations are extended one qubit at a time; one is dropped as
-    soon as the stabilizer group restricted to its assigned qubits differs
-    from the group restricted to their images, a condition every
-    automorphism meets on every subset.  The rows are sorted, so the
-    identity comes first.
+    Candidates come from :func:`_qubit_maps`, in order: the identity first.
     """
-    n = code.n
     stab = code.stabilizer_elements()
     signed = set(stab)
     unsigned = {(s.x, s.z) for s in stab}
-    xs = np.array([s.x for s in stab], dtype=np.int64)
-    zs = np.array([s.z for s in stab], dtype=np.int64)
-    # letters[j, a]: the (x, z) bits of stabilizer element a at qubit j.
-    letters = np.stack([((xs >> j) & 1) | (((zs >> j) & 1) << 1) for j in range(n)])
-
-    found: list[tuple[int, ...]] = []
-
-    def extend(perm: tuple[int, ...], key_dom: np.ndarray, key_img: np.ndarray):
-        k = len(perm)
-        if k == n:
-            if _preserves_level_map(code, perm, signed, unsigned):
-                found.append(perm)
-            return
-        for q in range(n):
-            if q in perm:
-                continue
-            dom = key_dom | (letters[k] << (2 * k))
-            img = key_img | (letters[q] << (2 * k))
-            if np.array_equal(np.unique(dom), np.unique(img)):
-                extend(perm + (q,), dom, img)
-
-    zero = np.zeros(len(stab), dtype=np.int64)
-    extend((), zero, zero)
-    group = np.array(sorted(found), dtype=np.int64).reshape(-1, n)
+    group = np.array([perm for perm in _qubit_maps(code) if _preserves_level_map(
+        code, perm, signed, unsigned)], dtype=np.int64).reshape(-1, code.n)
     group.setflags(write=False)
     return group
+
+
+@functools.lru_cache(maxsize=None)
+def logical_permutations(code: StabilizerCode) -> tuple:
+    """(pi, g) for each non-identity permutation pi of X, Y, Z that has a g.
+
+    pi[a] is the image of letter a of I, X, Y, Z, and g the first qubit map
+    of :func:`_qubit_maps` for pi.  The map keeps commutation and the group,
+    so it sends the errors of each syndrome onto those of one syndrome, their
+    logical classes permuted alike: weights and row entropies are kept.
+    """
+    pis = (0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)
+    return tuple((pi, g) for pi in pis if (g := next(_qubit_maps(code, pi), None)))
 
 
 def encoding_column(code: StabilizerCode, sigma: int | str) -> list[PauliString]:

@@ -11,7 +11,10 @@ code treats its qubits asymmetrically.  The permutations in the code's qubit
 automorphism group (:func:`~concatqec.codes.qubit_automorphisms`) only
 relabel the syndromes of the level map, so a level enumerates one assignment
 per orbit of that group, weighted by the orbit's size; a code whose group is
-trivial enumerates every ordered assignment.
+trivial enumerates every ordered assignment.  The streamed entropy also joins
+the orbits that a logical permutation of X, Y and Z
+(:func:`~concatqec.codes.logical_permutations`) maps onto each other, when
+it maps the child onto itself up to Klein relabelings of its entries.
 Deduplicating the entries of each child ensemble first is what keeps exact
 level-2 enumeration tractable.  Each entry is canonicalized by applying its
 optimal logical recovery (the class of maximal probability moved to the
@@ -29,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import HAD4, KLEIN, ChannelError, PauliProbVec, row_entropy
-from .codes import StabilizerCode, qubit_automorphisms
+from .codes import StabilizerCode, logical_permutations, qubit_automorphisms
 from .levelmap import _batches, _conditional, _coset_map_batch
 
 __all__ = [
@@ -259,36 +262,105 @@ def _orbit_table(code: StabilizerCode, size: int) -> tuple[np.ndarray, np.ndarra
     return entries, mult
 
 
-def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble):
+def _logical_symmetries(code: StabilizerCode, child: ChannelEnsemble):
+    """The child in a canonical order, and its (g, phi) symmetries.
+
+    A (pi, g) of :func:`~concatqec.codes.logical_permutations` counts when
+    each entry's row, X, Y, Z columns moved by pi, matches one distinct entry
+    phi[e] up to a Klein relabeling: rows within DEDUP_TOL in max-norm,
+    weights within a relative DEDUP_TOL.  Entry e of slot j moved to slot g[j]
+    as entry phi[e] then keeps each assignment's weight and (syndrome weight,
+    row entropy) multiset.  Listed from e, an orbit of entries is e, then each
+    listed element's images; its shape is its size and the phi in listing
+    positions.  The order lists the orbits by shape, each from the element of
+    least shape, so the pairs, the key of :func:`_folded_table`, do not
+    depend on p; with no pairs it is the child's own.
+    """
+    if child.size == 1 or len(qubit_automorphisms(code)) == 1:
+        return child, ()
+    w, rows = child.weights, child.channels
+    same_w, pairs = np.abs(w[:, None] - w) <= DEDUP_TOL * np.maximum.outer(w, w), []
+    for pi, g in logical_permutations(code):
+        image = rows[:, np.argsort(pi)]  # image[:, pi[a]] = rows[:, a]
+        gap = np.abs(image[:, None, None] - rows[:, KLEIN]).max(axis=3).min(axis=2)
+        match = (gap <= DEDUP_TOL) & same_w
+        if np.all(match.sum(axis=0) == 1) and np.all(match.sum(axis=1) == 1):
+            pairs.append((g, match.argmax(axis=1).tolist()))
+
+    def listing(e):
+        out = [e]
+        for x in out:
+            out += [y for y in dict.fromkeys(phi[x] for _, phi in pairs) if y not in out]
+        return out
+
+    def shape(out):
+        return len(out), [[out.index(phi[x]) for x in out] for _, phi in pairs]
+
+    lists = [min((listing(x) for x in listing(e)), key=shape) for e in range(child.size)]
+    orbits = sorted({min(out): (shape(out), out) for out in lists}.values())
+    order = np.array([x for _, out in orbits for x in out], dtype=int)
+    key = tuple((g, tuple(np.argsort(order)[np.array(phi)[order]].tolist())) for g, phi in pairs)
+    return ChannelEnsemble(w[order], rows[order]), key
+
+
+@functools.lru_cache(maxsize=16)
+def _folded_table(code: StabilizerCode, size: int, symmetries) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_orbit_table` with orbits joined into classes by ``symmetries``.
+
+    A (g, phi) pair moves entry e of slot j to slot g[j] as entry phi[e].
+    Orbits whose lowest image numbers under these moves and the qubit group
+    agree form a class, kept as its first representative and summed sizes.
+    """
+    entries, mult = _orbit_table(code, size)
+    strides = size ** np.arange(code.n - 1, -1, -1, dtype=np.int64)
+    image_strides, lowest = strides[qubit_automorphisms(code)], entries @ strides
+    for g, phi in symmetries:
+        moved = np.asarray(phi)[entries]
+        lowest = functools.reduce(
+            np.minimum, (moved @ s for s in image_strides[:, list(g)]), lowest)
+    _, first, label = np.unique(lowest, return_index=True, return_inverse=True)
+    entries, folded = entries[first], np.bincount(label, mult)
+    entries.setflags(write=False)
+    folded.setflags(write=False)
+    return entries, folded
+
+
+def _assignment_chunks(code: StabilizerCode, child: ChannelEnsemble, symmetries=()):
     """Yield (assignment weights, per-slot diagonals) covering every assignment.
 
     Each chunk holds orbit representatives of the code's qubit automorphisms,
     weighted by their orbit sizes: an automorphism only relabels the
     syndromes of the level map, so every assignment of an orbit contributes
-    the same (syndrome weight, conditional channel) multiset.  A code whose
-    group is trivial yields every ordered assignment once, and stores no
-    size^n orbit table.
+    the same (syndrome weight, conditional channel) multiset.  The (g, phi)
+    pairs of :func:`_logical_symmetries` join orbits further by
+    :func:`_folded_table`, into classes that share only the (syndrome weight,
+    row entropy) multiset the streamed entropy reads.  A code whose group is
+    trivial yields every ordered assignment once, with no size^n orbit table.
     """
     if len(qubit_automorphisms(code)) == 1:
         yield from _ordered_chunks(code, child)
         return
-    entries, mult = _orbit_table(code, child.size)
+    entries, mult = (_folded_table(code, child.size, symmetries) if symmetries
+                     else _orbit_table(code, child.size))
     diag = child.channels @ HAD4.T
     for batch in _batches(mult.size):
         idx = entries[batch]
         yield mult[batch] * child.weights[idx].prod(axis=1), diag[idx]
 
 
-def _level_chunks(code: StabilizerCode, child: ChannelEnsemble):
+def _level_chunks(code: StabilizerCode, child: ChannelEnsemble, logical: bool = False):
     """Yield (joint weights, conditional rows), one per (assignment, syndrome).
 
     The loop of every exact level: the check against BUDGET, read at call
-    time, then the level map of each chunk of assignments.  Zero weights stay.
+    time, then the level map of each chunk of assignments, with ``logical``
+    by the child's logical symmetries, matched once the budget holds.  Zero
+    weights stay.
     """
     combinations = child.size ** code.n
     if combinations > BUDGET:
         raise BudgetExceeded(combinations, BUDGET)
-    for assign_w, diags in _assignment_chunks(code, child):
+    child, symmetries = _logical_symmetries(code, child) if logical else (child, ())
+    for assign_w, diags in _assignment_chunks(code, child, symmetries):
         syn_w, cond = _conditional(_coset_map_batch(code, diags))
         yield (assign_w[:, None] * syn_w).reshape(-1), cond.reshape(-1, 4)
 
@@ -329,7 +401,7 @@ def exact_level_entropy(code: StabilizerCode, child: ChannelEnsemble) -> float:
     recovery relabeling.
     """
     total = 0.0
-    for weights, rows in _level_chunks(code, child):
+    for weights, rows in _level_chunks(code, child, logical=True):
         total += float((weights * row_entropy(rows)).sum())
     return total
 

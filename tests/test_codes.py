@@ -14,11 +14,13 @@ from concatqec import (
     enumerate_group,
     eta,
     PauliProbVec,
+    coset_map_enumerate,
     coset_map_probs,
     get_code,
     multiply,
 )
-from concatqec.codes import load_code_text, qubit_automorphisms
+from concatqec.channels import row_entropy
+from concatqec.codes import load_code_text, logical_permutations, qubit_automorphisms
 
 
 def all_paulis(n):
@@ -247,3 +249,67 @@ def test_random_code_automorphisms_match_brute_force(random_codes):
         orders.add(len(group))
         assert [tuple(g) for g in group.tolist()] == brute_force_automorphisms(code), code.name
     assert {1, 2, 6, 24} <= orders
+
+
+# ------------------------------------------------------- logical permutations
+
+LETTER_MAPS = [(0, 1, 3, 2), (0, 2, 1, 3), (0, 2, 3, 1), (0, 3, 1, 2), (0, 3, 2, 1)]
+
+
+def mapped(e, pi, perm):
+    """e with letter a of qubit j moved to qubit perm[j] as letter pi[a], unsigned."""
+    letters = ["I"] * e.n
+    for j, letter in enumerate(e.letters()):
+        letters[perm[j]] = "IXYZ"[pi["IXYZ".index(letter)]]
+    return PauliString.from_text("".join(letters))
+
+
+def brute_force_logical_permutations(code):
+    """The first of all n! qubit permutations for each letter map, if any."""
+    stab = {s.letters() for s in code.stabilizer_elements()}
+    found = []
+    for pi in LETTER_MAPS:
+        for perm in itertools.permutations(range(code.n)):
+            if all(mapped(g, pi, perm).letters() in stab for g in code.generators):
+                found.append((pi, perm))
+                break
+    return tuple(found)
+
+
+def test_logical_permutations_match_brute_force(codes, random_codes):
+    every = [*codes.values(), *random_codes]
+    for code in every:
+        assert logical_permutations(code) == brute_force_logical_permutations(code), code.name
+    identity5 = tuple(range(5))
+    assert logical_permutations(codes["five-qubit"]) == tuple(
+        (pi, identity5 if pi in [(0, 2, 3, 1), (0, 3, 1, 2)] else (0, 2, 4, 1, 3))
+        for pi in LETTER_MAPS)
+    assert logical_permutations(codes["steane"]) == tuple(
+        (pi, tuple(range(7))) for pi in LETTER_MAPS)
+    for name in ("rep3", "bitflip2"):
+        assert [pi for pi, _ in logical_permutations(codes[name])] == [(0, 2, 1, 3)]
+    # some random codes have a symmetry only together with a qubit permutation
+    moved = [code.name for code in random_codes
+             if any(g != tuple(range(code.n)) for _, g in logical_permutations(code))]
+    assert moved == ["random-3-1", "random-3-6", "random-5-4"]
+
+
+def test_logical_permutations_keep_level_map_entropies(codes, random_codes):
+    # Slot g[j] draws slot j's channel with its X, Y, Z columns moved by pi:
+    # the syndromes keep their weights and row entropies, as a multiset.
+    rng = np.random.default_rng(12)
+    checked = 0
+    for code in [*codes.values(), *random_codes]:
+        rows = rng.dirichlet(np.ones(4), size=code.n)
+        for pi, g in logical_permutations(code):
+            image = np.empty_like(rows)
+            image[list(g)] = rows[:, np.argsort(pi)]
+            sides = []
+            for noise in (rows, image):
+                probs = coset_map_enumerate(
+                    code, [PauliProbVec.from_array(r) for r in noise])
+                weight = probs.sum(axis=1)
+                sides.append(sorted(zip(weight, row_entropy(probs / weight[:, None]))))
+            assert np.allclose(sides[0], sides[1], rtol=0.0, atol=1e-13), (code.name, pi)
+            checked += 1
+    assert checked == 12 + 15  # the bundled codes' pairs, then the random codes'

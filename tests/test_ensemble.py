@@ -22,7 +22,8 @@ from concatqec import (
 from concatqec import ensemble as ensemble_module
 from concatqec import levelmap
 from concatqec.channels import KLEIN
-from concatqec.codes import qubit_automorphisms
+from concatqec.channels import row_entropy as row_entropies
+from concatqec.codes import logical_permutations, qubit_automorphisms
 from concatqec.ensemble import DEDUP_TOL, _Accumulator, _optimize_rows
 
 CODE_NAMES = ["bitflip2", "rep3", "five-qubit", "steane"]
@@ -442,7 +443,8 @@ def ordered(fn, *args):
     """fn run on the full ordered enumeration, the orbit path's oracle."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ensemble_module, "_assignment_chunks",
-                   ensemble_module._ordered_chunks)
+                   lambda code, child, symmetries=():
+                   ensemble_module._ordered_chunks(code, child))
         return fn(*args)
 
 
@@ -532,3 +534,112 @@ def test_shared_child_enumerates_orbits(codes):
     orbits = len(ensemble_module._orbit_table(code, 2)[1])
     assert sum(w.size for w, _ in chunks) == orbits < 2 ** code.n
     assert sum(w.sum() for w, _ in chunks) == pytest.approx(1.0, abs=1e-12)
+
+
+# ------------------------------------------------- logical symmetry fold
+
+def unfolded_entropy(code, child):
+    """exact_level_entropy by qubit orbits alone, the fold's oracle."""
+    return sum(float((w * row_entropies(rows)).sum())
+               for w, rows in ensemble_module._level_chunks(code, child))
+
+
+def assert_folded(code, child, ordered_too=False):
+    """The streamed entropy folds and agrees with the qubit-orbit oracle."""
+    _, key = ensemble_module._logical_symmetries(code, child)
+    assert key, (code.name, child.size)
+    folded = ensemble_module._folded_table(code, child.size, key)[1]
+    orbits = ensemble_module._orbit_table(code, child.size)[1]
+    assert folded.size < orbits.size and folded.sum() == orbits.sum()
+    got = exact_level_entropy(code, child)
+    assert got == pytest.approx(unfolded_entropy(code, child), rel=0.0, abs=1e-13)
+    if ordered_too:
+        assert got == pytest.approx(ordered(unfolded_entropy, code, child), rel=0.0, abs=1e-13)
+
+
+FAMILY_POINTS = [("depolarizing", 0.063), ("indep-flips", 0.11),
+                 ("phase-flip", 0.11), ("two-axis", 0.08)]
+
+
+@pytest.mark.parametrize("family,p", FAMILY_POINTS)
+def test_folded_entropy_matches_qubit_orbits_on_bundled_children(codes, family, p):
+    # the five-qubit depolarizing level-2 child has a test of its own
+    folds = 0
+    for code in codes.values():
+        for level in (1, 2):
+            child = concatenate_exact(code, noise_family(family, p), level)
+            if child.size ** code.n > 10 ** 6:
+                continue
+            got, want = exact_level_entropy(code, child), unfolded_entropy(code, child)
+            assert got == pytest.approx(want, rel=0.0, abs=1e-13), (code.name, level)
+            folds += bool(ensemble_module._logical_symmetries(code, child)[1])
+    assert folds >= 2
+
+
+def test_five_qubit_depolarizing_level2_child_folds_once_per_search(codes):
+    # the canonical order gives the fold the same key at both p, so a level-3
+    # search builds its folded table once
+    code = codes["five-qubit"]
+    ensemble_module._folded_table.cache_clear()
+    child = concatenate_exact(code, noise_family("depolarizing", 0.06299), 2)
+    assert child.size == 20
+    _, key = ensemble_module._logical_symmetries(code, child)
+    assert [g for g, _ in key] == [g for _, g in logical_permutations(code)]
+    assert_folded(code, child)
+    assert ensemble_module._folded_table(code, 20, key)[1].size == 72_548
+    assert ensemble_module._orbit_table(code, 20)[1].size == 324_008
+    other = concatenate_exact(code, noise_family("depolarizing", 0.0631), 2)
+    assert not np.array_equal(other.channels, child.channels)
+    exact_level_entropy(code, other)
+    info = ensemble_module._folded_table.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def symmetric_child(code, rng, base):
+    """``base`` random rows and their images under each logical permutation
+    of the code, each image Klein-relabeled at random; equal weights."""
+    pis = [(0, 1, 2, 3)] + [pi for pi, _ in logical_permutations(code)]
+    rows = [r[np.argsort(pi)][KLEIN[rng.integers(4)]]
+            for r in rng.dirichlet(np.ones(4), size=base) for pi in pis]
+    return ChannelEnsemble(np.full(len(rows), 1.0 / len(rows)), np.array(rows))
+
+
+def test_folded_entropy_matches_on_symmetric_children(codes, random_codes):
+    rng = np.random.default_rng(29)
+    checked = set()
+    for code in [*codes.values(), *random_codes]:
+        if len(qubit_automorphisms(code)) == 1 or not logical_permutations(code):
+            continue
+        for base in (1, 2):
+            child = symmetric_child(code, rng, base)
+            if child.size ** code.n > 10 ** 6:
+                continue
+            assert_folded(code, child, ordered_too=child.size ** code.n <= 10 ** 4)
+            checked.add(code.name)
+    assert {"rep3", "five-qubit", "steane", "random-5-4"} <= checked
+    assert len(checked) >= 12
+
+
+def test_children_without_symmetry_stay_byte_identical(codes, random_codes):
+    # random children have no logical symmetry, and a code with a trivial
+    # qubit group enumerates ordered assignments, symmetric child or not
+    rng = np.random.default_rng(30)
+    for code in [*codes.values(), *random_codes]:
+        children = [random_ensemble(rng, 3)]
+        if len(qubit_automorphisms(code)) == 1:
+            children.append(symmetric_child(code, rng, 1))
+        for child in children:
+            assert ensemble_module._logical_symmetries(code, child)[1] == ()
+            assert exact_level_entropy(code, child) == unfolded_entropy(code, child)
+
+
+def test_over_budget_child_raises_before_matching(codes, monkeypatch):
+    code = codes["five-qubit"]
+    child = concatenate_exact(code, noise_family("depolarizing", 0.063), 1)
+    matched = []
+    monkeypatch.setattr(ensemble_module, "_logical_symmetries",
+                        lambda *args: matched.append(args))
+    monkeypatch.setattr(ensemble_module, "BUDGET", child.size ** code.n - 1)
+    with pytest.raises(BudgetExceeded):
+        exact_level_entropy(code, child)
+    assert matched == []
